@@ -43,7 +43,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import logsumexp
 
 from .channel import (ConditionalDist, DecodingMetric, Dmc, InputDist,
                       TiltedMetric, posterior)
@@ -55,7 +54,6 @@ __all__ = [
     "ExponentResult",
     "ExponentCurve",
     "as_rate",
-    "mismatch_objective",
     "mismatch_theta_sup",
     "er_mismatch_dual",
     "er_cc_dual",
@@ -71,6 +69,7 @@ THETA_GRID_LO = 1e-4
 THETA_GRID_HI = 1e4
 N_THETA_GRID = 64      # log-spaced bracket for the theta sup
 N_RHO_GRID = 101       # rho grid on [0, 1] before golden refinement
+RHO_FLOOR = 1e-9       # smallest rho searched; a maximizer below it is rho = 0
 
 
 @dataclass(frozen=True)
@@ -188,13 +187,29 @@ def _log_masked(a: np.ndarray) -> np.ndarray:
     return np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), -np.inf)
 
 
+def _logsumexp(a: np.ndarray, axis: Optional[int] = None,
+               keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) over axis, shifted by the maximum.
+
+    Same values as scipy.special.logsumexp on real input, including an
+    all -inf slice (-inf) and a +inf entry (+inf), without its
+    per-call dispatch, which dominates on the 4x4 arrays used here.
+    """
+    m = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True))
+    out += shift
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
 def _log_tilt(log_u: np.ndarray, theta: float) -> np.ndarray:
     """log U_theta(x|y), columns normalized over the full alphabet."""
     nx = log_u.shape[0]
     if theta == 0.0:
         return np.full_like(log_u, -math.log(nx))
     t = theta * log_u
-    return t - logsumexp(t, axis=0, keepdims=True)
+    return t - _logsumexp(t, axis=0, keepdims=True)
 
 
 class _MismatchProblem:
@@ -207,6 +222,7 @@ class _MismatchProblem:
         with np.errstate(divide="ignore"):
             self.lnw = _log_masked(ch.w[self.keep])
             self.log_u = _log_masked(u.u)
+        self.on_support = np.isfinite(self.lnw)
         self.pp = p.p[self.keep]
         self.hr = p.entropy_bits - rate.rate_bits
         self.evals = 0
@@ -217,8 +233,8 @@ class _MismatchProblem:
         self.evals += 1
         lt = _log_tilt(self.log_u, theta)[self.keep]
         with np.errstate(invalid="ignore"):
-            a = np.where(np.isfinite(self.lnw), self.lnw - rho * lt, -np.inf)
-        inner = logsumexp(a, axis=1)
+            a = np.where(self.on_support, self.lnw - rho * lt, -np.inf)
+        inner = _logsumexp(a, axis=1)
         if np.any(np.isposinf(inner)):
             return -np.inf
         return float(-(self.pp * inner).sum() / LN2 + rho * self.hr)
@@ -226,12 +242,15 @@ class _MismatchProblem:
     def value_grid(self, rhos: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         """Objective on the rho x theta grid; rhos must be positive."""
         self.evals += len(rhos) * len(thetas)
-        lts = np.stack([_log_tilt(self.log_u, th)[self.keep]
-                        for th in thetas])
+        th = np.asarray(thetas, dtype=float)[:, None, None]
+        with np.errstate(invalid="ignore"):
+            # theta = 0 is the uniform tilt, also where U vanishes
+            t = np.where(th == 0.0, 0.0, th * self.log_u[None])
+        lts = (t - _logsumexp(t, axis=1, keepdims=True))[:, self.keep]
         with np.errstate(invalid="ignore"):
             a = self.lnw[None, None] - rhos[:, None, None, None] * lts[None]
-            a = np.where(np.isfinite(self.lnw)[None, None], a, -np.inf)
-        inner = logsumexp(a, axis=3)
+            a = np.where(self.on_support[None, None], a, -np.inf)
+        inner = _logsumexp(a, axis=3)
         with np.errstate(invalid="ignore"):
             out = -(self.pp[None, None] * inner).sum(axis=2) / LN2 \
                 + rhos[:, None] * self.hr
@@ -242,14 +261,6 @@ class _MismatchProblem:
 def _theta_brackets() -> np.ndarray:
     return np.exp(np.linspace(math.log(THETA_GRID_LO),
                               math.log(THETA_GRID_HI), N_THETA_GRID))
-
-
-def mismatch_objective(ch: Dmc, p: InputDist, u: DecodingMetric,
-                       rate: Union[RatePoint, float],
-                       rho: float, theta: float) -> float:
-    """The dual objective at a single (rho, theta); 0 at rho = 0."""
-    prob = _MismatchProblem(ch, p, u, as_rate(rate))
-    return prob.value(rho, theta)
 
 
 def _sup_theta(prob: _MismatchProblem, rho: float,
@@ -302,7 +313,7 @@ def er_mismatch_dual(ch: Dmc, p: InputDist, u: DecodingMetric,
         val, theta, hit = _sup_theta(prob, rho, thetas)
         hit_boundary = hit_boundary or hit
         that = rho * theta
-        rlo = max(rho - width, 1e-9)
+        rlo = max(rho - width, RHO_FLOOR)
         rhi = min(rho + width, 1.0)
         res = minimize_scalar(
             lambda q: -prob.value(q, that / q),
@@ -329,11 +340,14 @@ def er_mismatch_dual(ch: Dmc, p: InputDist, u: DecodingMetric,
         rho = float(res.x[0])
         theta = float(res.x[1] / res.x[0])
 
+    # a maximizer below the rho floor is the rho = 0 boundary, where the
+    # objective is exactly 0; its residue is round-off, not exponent
+    clamped = bool(best <= 0.0 or rho < RHO_FLOOR)
     diags = {"evaluations": prob.evals,
              "grid_max": float(grid[i, k]),
              "theta_at_boundary": bool(hit_boundary),
-             "clamped": best <= 0.0}
-    if best <= 0.0:
+             "clamped": clamped}
+    if clamped:
         return ExponentResult(0.0, rho_star=0.0, theta_star=None,
                               diagnostics=diags)
     return ExponentResult(float(best), rho_star=rho, theta_star=theta,
@@ -435,10 +449,7 @@ def er_cc_dual(ch: Dmc, p: InputDist,
     if best <= 0.0:
         diags["v_star"] = None
         return ExponentResult(0.0, rho_star=0.0, diagnostics=diags)
-    e0, v_star, _ = _e0cc(w ** (1.0 / (1.0 + rho_star)), pp, rho_star)
-    vfull = np.zeros(ch.output_size)
-    vfull[:] = v_star
-    diags["v_star"] = vfull
+    _, diags["v_star"], _ = _e0cc(w ** (1.0 / (1.0 + rho_star)), pp, rho_star)
     return ExponentResult(float(best), rho_star=rho_star, diagnostics=diags)
 
 
@@ -476,7 +487,7 @@ def er_cc_primal(ch: Dmc, p: InputDist,
         q = np.zeros((nx, ny))
         for x in range(nx):
             t = coords[offs[x]:offs[x + 1]]
-            t = t - logsumexp(t)
+            t = t - _logsumexp(t)
             q[x, support[x]] = np.exp(t)
         return q
 
@@ -720,6 +731,7 @@ def sweep_curve(ch: Dmc, p: InputDist,
     columns = {name: np.zeros(len(rates)) for name in names}
     columns["cc_reference"] = np.zeros(len(rates))
     for j, r in enumerate(rates):
+        cc = None
         for entry, name in zip(metrics, names):
             try:
                 if isinstance(entry, str):
@@ -727,7 +739,9 @@ def sweep_curve(ch: Dmc, p: InputDist,
                         raise ChannelSpecError(
                             f"unknown metric selector {entry!r}")
                     from .optimal_metric import optimize_metric
-                    val = optimize_metric(ch, p, r).achieved_exponent
+                    om = optimize_metric(ch, p, r)
+                    # optimize_metric solved er_cc_dual at this rate
+                    val, cc = om.achieved_exponent, om.cc_exponent
                 else:
                     val = er_mismatch_dual(ch, p, entry, r).value_bits
             except Exception as exc:
@@ -736,11 +750,13 @@ def sweep_curve(ch: Dmc, p: InputDist,
                     + tuple(exc.args[1:])
                 raise
             columns[name][j] = val
-        try:
-            columns["cc_reference"][j] = er_cc_dual(ch, p, r).value_bits
-        except Exception as exc:
-            exc.args = ((f"(cc_reference, R={r:g}) "
-                         + (str(exc.args[0]) if exc.args else "")),) \
-                + tuple(exc.args[1:])
-            raise
+        if cc is None:
+            try:
+                cc = er_cc_dual(ch, p, r).value_bits
+            except Exception as exc:
+                exc.args = ((f"(cc_reference, R={r:g}) "
+                             + (str(exc.args[0]) if exc.args else "")),) \
+                    + tuple(exc.args[1:])
+                raise
+        columns["cc_reference"][j] = cc
     return ExponentCurve(rates, columns)

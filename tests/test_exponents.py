@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import rel_entr, xlogy
+from scipy.special import logsumexp, rel_entr, xlogy
 
 from codemismatch import (ChannelSpecError, DecodingMetric,
                           DimensionTooLargeError, Dmc, ExponentCurve,
@@ -13,7 +13,7 @@ from codemismatch import (ChannelSpecError, DecodingMetric,
                           er_mismatch_primal_oracle, map_capacity_gap,
                           map_metric, ml_metric, mutual_information, posterior,
                           sweep_curve, tilt_metric)
-from codemismatch.exponents import _MismatchProblem, as_rate
+from codemismatch.exponents import _MismatchProblem, _logsumexp, as_rate
 from conftest import random_triple
 
 BSC01 = np.array([[0.9, 0.1], [0.1, 0.9]])
@@ -51,7 +51,53 @@ def test_as_rate_passthrough():
     assert as_rate(0.3).rate_bits == 0.3
 
 
+# ------------------------------------------------------------ _logsumexp
+
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("axis", [None, 0, 1, 2])
+def test_logsumexp_matches_scipy(axis, keepdims):
+    rng = np.random.default_rng(12)
+    a = rng.normal(0.0, 30.0, size=(3, 4, 5))
+    a[rng.random(a.shape) < 0.2] = -np.inf
+    got = _logsumexp(a, axis=axis, keepdims=keepdims)
+    want = logsumexp(a, axis=axis, keepdims=keepdims)
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
+
+
+def test_logsumexp_infinite_slices():
+    a = np.array([[-np.inf, 0.5, -np.inf],
+                  [-np.inf, np.inf, 1.0],
+                  [-np.inf, -1.0, 2.0]])
+    for axis in (0, 1):
+        got = _logsumexp(a, axis=axis)
+        np.testing.assert_array_equal(got, logsumexp(a, axis=axis))
+    assert _logsumexp(a, axis=0)[0] == -np.inf
+    assert _logsumexp(a, axis=0)[1] == np.inf
+    assert _logsumexp(a) == np.inf
+    assert _logsumexp(np.full((2, 2), -np.inf)) == -np.inf
+
+
 # ------------------------------------------------------- er_mismatch_dual
+
+@pytest.mark.parametrize("rate, value", [(0.1, 0.19980289551294383),
+                                         (0.2, 0.10657890488974386),
+                                         (0.3, 0.04451325185483512)])
+def test_mismatch_dual_pinned_values(paper_channel, rate, value):
+    ch, p = paper_channel
+    res = er_mismatch_dual(ch, p, map_metric(p, ch), rate)
+    assert res.value_bits == pytest.approx(value, abs=1e-12)
+
+
+def test_mismatch_dual_exactly_zero_above_capacity():
+    """A maximizer below the rho floor clamps to 0, not to round-off."""
+    ch, p, u = random_triple(np.random.default_rng(13))
+    res = er_mismatch_dual(ch, p, u, 1.02 * mutual_information(p, ch))
+    assert res.value_bits == 0.0
+    assert res.rho_star == 0.0
+    assert res.diagnostics["clamped"] is True
+
+
 
 def test_mismatch_dual_nonnegative_random():
     rng = np.random.default_rng(10)
@@ -264,6 +310,14 @@ def test_sweep_single_rate_at_capacity(paper_channel):
     curve = sweep_curve(ch, p, [map_metric(p, ch)], [mi])
     assert curve.columns["map"][0] <= 1e-6
     assert curve.columns["cc_reference"][0] <= 1e-6
+
+
+def test_sweep_optimal_reuses_cc_reference(paper_channel):
+    ch, p = paper_channel
+    rates = [0.1, 0.3]
+    curve = sweep_curve(ch, p, ["optimal"], rates)
+    want = [er_cc_dual(ch, p, r).value_bits for r in rates]
+    np.testing.assert_array_equal(curve.columns["cc_reference"], want)
 
 
 def test_sweep_empty_metric_list(paper_channel):
