@@ -54,7 +54,6 @@ __all__ = [
     "ExponentResult",
     "ExponentCurve",
     "as_rate",
-    "mismatch_theta_sup",
     "er_mismatch_dual",
     "er_cc_dual",
     "er_cc_primal",
@@ -67,9 +66,12 @@ LN2 = math.log(2.0)
 
 THETA_GRID_LO = 1e-4
 THETA_GRID_HI = 1e4
-N_THETA_GRID = 64      # log-spaced bracket for the theta sup
-N_RHO_GRID = 101       # rho grid on [0, 1] before golden refinement
-RHO_FLOOR = 1e-9       # smallest rho searched; a maximizer below it is rho = 0
+N_THETA_GRID = 17      # log-spaced theta grid of the start bracket
+N_RHO_GRID = 11        # rho grid on [0, 1] of the start bracket
+RHO_FLOOR = 1e-9       # smallest rho searched; a maximizer on it is rho = 0
+THETA_HAT_MAX = 1e8    # upper bound of theta_hat = rho * theta
+LOG1P_MAX = 1.0        # largest -rho log U_theta summed in log1p form
+PG_TOL = 1e-6          # projected-gradient norm accepted at a maximizer
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,8 @@ class _MismatchProblem:
             self.lnw = _log_masked(ch.w[self.keep])
             self.log_u = _log_masked(u.u)
         self.on_support = np.isfinite(self.lnw)
+        self.u_pos = np.isfinite(self.log_u)
+        self.w = ch.w[self.keep]
         self.pp = p.p[self.keep]
         self.hr = p.entropy_bits - rate.rate_bits
         self.evals = 0
@@ -257,116 +261,101 @@ class _MismatchProblem:
         out[~np.isfinite(out)] = -np.inf
         return out
 
+    def value_grad(self, rho: float, that: float) -> tuple[float, np.ndarray]:
+        """Objective and its gradient in (rho, theta_hat = rho*theta).
 
-def _theta_brackets() -> np.ndarray:
-    return np.exp(np.linspace(math.log(THETA_GRID_LO),
-                              math.log(THETA_GRID_HI), N_THETA_GRID))
+        rho must be positive; theta_hat = 0 is the limit theta -> 0+.
+        With q(.|x) the softmax over y of log W - rho log U_theta:
 
-
-def _sup_theta(prob: _MismatchProblem, rho: float,
-               thetas: np.ndarray) -> tuple[float, float, bool]:
-    """sup over theta at fixed rho: log-grid bracket, then golden in
-    t = theta/(1+theta). Returns (value, theta, hit_boundary)."""
-    row = prob.value_grid(np.array([rho]), thetas)[0]
-    k = int(np.argmax(row))
-    lo = thetas[max(k - 1, 0)]
-    hi = thetas[min(k + 1, len(thetas) - 1)]
-    t_lo, t_hi = lo / (1.0 + lo), hi / (1.0 + hi)
-    if t_hi <= t_lo:
-        return row[k], thetas[k], k == len(thetas) - 1
-    res = minimize_scalar(
-        lambda t: -prob.value(rho, t / (1.0 - t)),
-        bounds=(t_lo, t_hi), method="bounded",
-        options={"xatol": 1e-13})
-    theta = res.x / (1.0 - res.x)
-    val = -res.fun
-    if row[k] > val:
-        val, theta = row[k], thetas[k]
-    return val, theta, k == len(thetas) - 1
+            d/d rho       = -sum_x P sum_y q H(U_theta(.|y)) / ln 2
+                            + H(P_X) - R
+            d/d theta_hat = -sum_x P sum_y q (E_{U_theta}[log U](y)
+                            - log U(x,y)) / ln 2
+        """
+        self.evals += 1
+        with np.errstate(invalid="ignore"):
+            t = np.where(self.u_pos, (that / rho) * self.log_u, -np.inf)
+            lt = t - _logsumexp(t, axis=0, keepdims=True)
+            ut = np.exp(lt)
+            e_log_u = np.where(self.u_pos, ut * self.log_u, 0.0).sum(axis=0)
+            h_tilt = -np.where(self.u_pos, ut * lt, 0.0).sum(axis=0)
+            a = np.where(self.on_support, -rho * lt[self.keep], -np.inf)
+        if np.max(a) <= LOG1P_MAX:
+            # the rows of W sum to 1, so log sum_y W e^a is
+            # log1p(sum_y W expm1(a)), a sum of nonnegative terms that
+            # keeps its relative precision as rho -> 0
+            inner = np.log1p((self.w * np.expm1(a)).sum(axis=1))
+        else:
+            inner = _logsumexp(self.lnw + a, axis=1)
+        q = np.exp(self.lnw + a - inner[:, None])
+        d_that = np.where(self.on_support,
+                          e_log_u[None, :] - self.log_u[self.keep], 0.0)
+        val = -(self.pp * inner).sum() / LN2 + rho * self.hr
+        grad = np.array([
+            -(self.pp * (q @ h_tilt)).sum() / LN2 + self.hr,
+            -(self.pp * (q * d_that).sum(axis=1)).sum() / LN2])
+        return float(val), grad
 
 
 def er_mismatch_dual(ch: Dmc, p: InputDist, u: DecodingMetric,
                      rate: Union[RatePoint, float]) -> ExponentResult:
-    """Mismatch exponent E_r(R, U) by concave search over (rho, theta).
+    """Mismatch exponent E_r(R, U) by one bounded gradient solve.
 
-    Search: full (rho, theta) grid bracket, coordinate refinement
-    (golden over theta in t = theta/(1+theta) space, golden over rho at
-    fixed theta_hat = rho*theta), then a Nelder-Mead polish in
-    (rho, theta_hat) where the objective is jointly concave.
+    A coarse (rho, theta) grid gives the start point; L-BFGS-B with the
+    analytic gradient then maximizes the jointly concave objective over
+    rho in [RHO_FLOOR, 1] and theta_hat = rho*theta in [0, THETA_HAT_MAX].
+    Convergence is judged by the projected-gradient norm at the
+    returned point, not by the solver's own flag, which reports an
+    ABNORMAL line search once steps reach the precision floor; a norm
+    above PG_TOL at a positive exponent raises NonConvergentError.
     """
     rp = as_rate(rate)
     prob = _MismatchProblem(ch, p, u, rp)
-    thetas = _theta_brackets()
     rhos = np.linspace(0.0, 1.0, N_RHO_GRID)[1:]
+    thetas = np.exp(np.linspace(math.log(THETA_GRID_LO),
+                                math.log(THETA_GRID_HI), N_THETA_GRID))
     grid = prob.value_grid(rhos, thetas)
     if not np.any(grid > -np.inf):
         raise MetricSupportError(
             "metric scores vanish on the channel support: objective is "
             "-inf at every (rho, theta)")
     i, k = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    best = grid[i, k]
-    rho, theta = float(rhos[i]), float(thetas[k])
-    hit_boundary = False
+    x0 = np.array([rhos[i], rhos[i] * thetas[k]])
+    lo = np.array([RHO_FLOOR, 0.0])
+    hi = np.array([1.0, THETA_HAT_MAX])
 
-    width = 2.0 / (N_RHO_GRID - 1)
-    for _ in range(3):
-        val, theta, hit = _sup_theta(prob, rho, thetas)
-        hit_boundary = hit_boundary or hit
-        that = rho * theta
-        rlo = max(rho - width, RHO_FLOOR)
-        rhi = min(rho + width, 1.0)
-        res = minimize_scalar(
-            lambda q: -prob.value(q, that / q),
-            bounds=(rlo, rhi), method="bounded", options={"xatol": 1e-13})
-        if -res.fun >= val:
-            rho = float(res.x)
-            val = -res.fun
-        theta = that / rho
-        best = max(best, val)
-        width *= 0.35
+    def neg(x):
+        val, grad = prob.value_grad(x[0], x[1])
+        return -val, -grad
 
-    def neg(xy):
-        q, that = xy
-        if not (0.0 < q <= 1.0) or that <= 0.0:
-            return np.inf
-        v = prob.value(q, that / q)
-        return -v if np.isfinite(v) else np.inf
+    res = minimize(neg, x0, jac=True, method="L-BFGS-B",
+                   bounds=list(zip(lo, hi)),
+                   options={"ftol": 0.0, "gtol": 0.0, "maxiter": 500})
+    rho, that = (float(v) for v in res.x)
+    best = -float(res.fun)
+    # components pushing against an active bound do not count
+    blocked = ((res.x <= lo) & (res.jac > 0)) | ((res.x >= hi) & (res.jac < 0))
+    pg = float(np.max(np.where(blocked, 0.0, np.abs(res.jac))))
 
-    start = np.array([rho, rho * theta])
-    res = minimize(neg, start, method="Nelder-Mead",
-                   options={"xatol": 1e-11, "fatol": 1e-15, "maxfev": 400})
-    if np.isfinite(res.fun) and -res.fun > best:
-        best = -res.fun
-        rho = float(res.x[0])
-        theta = float(res.x[1] / res.x[0])
-
-    # a maximizer below the rho floor is the rho = 0 boundary, where the
+    # a maximizer on the rho floor is the rho = 0 boundary, where the
     # objective is exactly 0; its residue is round-off, not exponent
-    clamped = bool(best <= 0.0 or rho < RHO_FLOOR)
+    clamped = bool(best <= 0.0 or rho <= RHO_FLOOR)
+    if not clamped and pg > PG_TOL:
+        raise NonConvergentError(
+            f"mismatch dual stopped with projected gradient {pg:.3e} > "
+            f"{PG_TOL:g} ({res.message})", residual=pg, iterations=res.nit)
     diags = {"evaluations": prob.evals,
+             "iterations": int(res.nit),
+             "message": str(res.message),
+             "projected_gradient": pg,
              "grid_max": float(grid[i, k]),
-             "theta_at_boundary": bool(hit_boundary),
+             "theta_at_boundary": bool(that >= THETA_HAT_MAX),
              "clamped": clamped}
     if clamped:
         return ExponentResult(0.0, rho_star=0.0, theta_star=None,
                               diagnostics=diags)
-    return ExponentResult(float(best), rho_star=rho, theta_star=theta,
+    return ExponentResult(best, rho_star=rho, theta_star=that / rho,
                           diagnostics=diags)
-
-
-def mismatch_theta_sup(ch: Dmc, p: InputDist, u: DecodingMetric,
-                       rate: Union[RatePoint, float],
-                       rho: float) -> tuple[float, float]:
-    """sup over theta of the dual objective at fixed rho.
-
-    Used by the metric optimizer, which sweeps its own rho. Returns
-    (value, theta_star); value is not clamped at 0.
-    """
-    prob = _MismatchProblem(ch, p, u, as_rate(rate))
-    if rho <= 0.0:
-        return 0.0, 0.0
-    val, theta, _ = _sup_theta(prob, rho, _theta_brackets())
-    return val, theta
 
 
 # ----------------------------------------------------------------------

@@ -31,18 +31,15 @@ and reports how far a given (fixed point, metric) pair drifts.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .channel import DecodingMetric, Dmc, InputDist, tilt_metric
 from .errors import (ChannelSpecError, NonConvergentError,
                      NonPositiveIterateError, SaturationError)
-from .exponents import (RatePoint, as_rate, er_cc_dual, er_mismatch_dual,
-                        mismatch_theta_sup)
+from .exponents import RatePoint, as_rate, er_cc_dual, er_mismatch_dual
 
 __all__ = [
     "FixedPoint",
@@ -216,70 +213,39 @@ class OptimalMetric:
 def optimize_metric(ch: Dmc, p: InputDist,
                     rate: Union[RatePoint, float], *,
                     saturation_tol: float = SATURATION_TOL) -> OptimalMetric:
-    """Pick rho_star and build the compensating metric at one rate.
+    """Build the compensating metric at the cc dual's rho_star.
 
-    Scores each candidate rho by the theta-sup of the mismatch dual
-    objective for the metric built at that rho: a 21-point grid on
-    [0,1], then golden-section refinement to width 1e-4 around the best
-    grid point (a fresh fixed point per evaluation). Candidates whose
-    fixed point fails to converge are skipped with a warning.
+    The metric built from the constant-composition dual's own maximizer
+    reaches E_r^cc, so no rho is searched: the fixed point is solved
+    once, at er_cc_dual's rho_star, and a failure there raises. The
+    achieved exponent is re-checked independently by er_mismatch_dual
+    and must meet the cc exponent within saturation_tol.
 
     Rates at or above H(P_X) short-circuit to the rho = 0 metric (the
     posterior): every metric has exponent 0 there.
     """
     rp = as_rate(rate)
     rr = rp.rate_bits
-
-    def metric_at(rho: float) -> tuple[FixedPoint, DecodingMetric]:
-        fp = solve_fixed_point(ch, p, rho)
-        return fp, build_metric(fp, p, ch)
-
     if rr >= p.entropy_bits:
-        fp, u = metric_at(0.0)
-        return OptimalMetric(rho_star=0.0, metric=u, achieved_exponent=0.0,
-                             cc_exponent=0.0, saturation_gap=0.0,
-                             fixed_point=fp)
+        fp = solve_fixed_point(ch, p, 0.0)
+        return OptimalMetric(rho_star=0.0, metric=build_metric(fp, p, ch),
+                             achieved_exponent=0.0, cc_exponent=0.0,
+                             saturation_gap=0.0, fixed_point=fp)
 
-    def score(rho: float) -> float:
-        if rho <= 0.0:
-            return 0.0
-        _, u = metric_at(rho)
-        val, _ = mismatch_theta_sup(ch, p, u, rp, rho)
-        return val
-
-    grid = np.linspace(0.0, 1.0, 21)
-    best_rho, best_val = 0.0, 0.0
-    failures = 0
-    for rho in grid:
-        try:
-            val = score(float(rho))
-        except NonConvergentError as exc:
-            failures += 1
-            warnings.warn(f"skipping rho={rho:g}: {exc}", RuntimeWarning)
-            continue
-        if val > best_val:
-            best_rho, best_val = float(rho), val
-    if failures == len(grid):
-        raise NonConvergentError(
-            "fixed point failed to converge at every candidate rho")
-
-    lo = max(best_rho - 0.05, 0.0)
-    hi = min(best_rho + 0.05, 1.0)
-    res = minimize_scalar(lambda q: -score(q), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-4})
-    rho_star = float(res.x) if -res.fun >= best_val else best_rho
-
-    fp, u = metric_at(rho_star)
+    cc = er_cc_dual(ch, p, rp)
+    rho_star = float(cc.rho_star)
+    fp = solve_fixed_point(ch, p, rho_star)
+    u = build_metric(fp, p, ch)
     achieved = er_mismatch_dual(ch, p, u, rp).value_bits
-    cc = er_cc_dual(ch, p, rp).value_bits
-    gap = abs(achieved - cc)
+    gap = abs(achieved - cc.value_bits)
     if gap > saturation_tol:
         raise SaturationError(
             f"optimized metric misses the constant-composition exponent "
             f"by {gap:.3e} at R={rr:g} (tolerance {saturation_tol:g})",
             gap=gap)
     return OptimalMetric(rho_star=rho_star, metric=u,
-                         achieved_exponent=achieved, cc_exponent=cc,
+                         achieved_exponent=achieved,
+                         cc_exponent=cc.value_bits,
                          saturation_gap=gap, fixed_point=fp)
 
 

@@ -13,7 +13,8 @@ from codemismatch import (ChannelSpecError, DecodingMetric,
                           er_mismatch_primal_oracle, map_capacity_gap,
                           map_metric, ml_metric, mutual_information, posterior,
                           sweep_curve, tilt_metric)
-from codemismatch.exponents import _MismatchProblem, _logsumexp, as_rate
+from codemismatch import exponents
+from codemismatch.exponents import PG_TOL, _MismatchProblem, _logsumexp, as_rate
 from conftest import random_triple
 
 BSC01 = np.array([[0.9, 0.1], [0.1, 0.9]])
@@ -97,6 +98,93 @@ def test_mismatch_dual_exactly_zero_above_capacity():
     assert res.rho_star == 0.0
     assert res.diagnostics["clamped"] is True
 
+
+
+def test_mismatch_dual_map_exactly_zero_at_capacity_random():
+    """At R = I(X;Y) the MAP metric's maximizer is the rho = 0 boundary;
+    the exponent must come back as 0, not as round-off above it."""
+    for seed in range(40):
+        ch, p, _ = random_triple(np.random.default_rng(seed))
+        res = er_mismatch_dual(ch, p, map_metric(p, ch),
+                               mutual_information(p, ch))
+        assert res.value_bits == 0.0, f"seed {seed}: {res.value_bits:.3g}"
+
+
+def test_mismatch_dual_rate_slope_bound(paper_channel):
+    """rho <= 1 makes E(R) >= E(R0) - (R - R0) for R > R0, whatever the
+    solver; a search stalled on the rho = 1 face breaks it."""
+    ch, p = paper_channel
+    u = map_metric(p, ch)
+    rates = np.concatenate([[0.1, 0.102], np.linspace(0.05, 0.45, 81)])
+    for r0, r1 in zip(rates, rates[1:]):
+        if r1 <= r0:
+            continue
+        e0 = er_mismatch_dual(ch, p, u, r0).value_bits
+        e1 = er_mismatch_dual(ch, p, u, r1).value_bits
+        assert e1 >= e0 - (r1 - r0) - 1e-12, \
+            f"E({r1:g}) = {e1!r} < E({r0:g}) - {r1 - r0:g}"
+
+
+def _central_gradient(prob, rho, that, h=1e-6):
+    f = lambda q, t: prob.value(q, t / q)
+    return np.array([(f(rho + h, that) - f(rho - h, that)) / (2 * h),
+                     (f(rho, that + h) - f(rho, that - h)) / (2 * h)])
+
+
+def _gradient_cases():
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        ch, p, u = random_triple(rng)
+        r = float(rng.uniform(0.0, p.entropy_bits))
+        yield ch, p, u, r, float(rng.uniform(0.05, 0.95)), \
+            float(rng.uniform(0.05, 3.0))
+        yield ch, p, u, r, 0.4, 1e-4          # near theta = 0
+        yield ch, p, u, r, 1.0, float(rng.uniform(0.1, 2.0))  # rho = 1
+    # metric zero exactly where the channel is
+    w = np.array([[0.7, 0.3, 0.0], [0.0, 0.4, 0.6], [0.2, 0.0, 0.8]])
+    u = np.where(w > 0, rng.uniform(0.1, 1.0, w.shape), 0.0)
+    ch = Dmc(input_size=4, output_size=3, w=np.vstack([w, [1/3] * 3]))
+    p = InputDist(p=np.array([0.3, 0.3, 0.4, 0.0]))
+    um = DecodingMetric(u=np.vstack([u, [0.5, 0.5, 0.5]]), name="sparse")
+    for rho, that in ((0.3, 0.5), (1.0, 2.0), (0.6, 1e-4)):
+        yield ch, p, um, 0.1, rho, that
+
+
+@pytest.mark.parametrize("case", list(_gradient_cases()))
+def test_mismatch_value_grad_matches_central_differences(case):
+    ch, p, u, r, rho, that = case
+    prob = _MismatchProblem(ch, p, u, as_rate(r))
+    val, grad = prob.value_grad(rho, that)
+    assert val == pytest.approx(prob.value(rho, that / rho), abs=1e-13)
+    np.testing.assert_allclose(grad, _central_gradient(prob, rho, that),
+                               rtol=1e-6, atol=1e-8)
+
+
+def test_mismatch_dual_solver_diagnostics(paper_channel):
+    ch, p = paper_channel
+    res = er_mismatch_dual(ch, p, map_metric(p, ch), 0.25)
+    d = res.diagnostics
+    assert d["iterations"] >= 1 and d["evaluations"] > d["iterations"]
+    assert isinstance(d["message"], str) and d["message"]
+    assert 0.0 <= d["projected_gradient"] <= PG_TOL
+    assert d["theta_at_boundary"] is False and d["clamped"] is False
+    assert d["grid_max"] <= res.value_bits
+
+
+def test_mismatch_dual_theta_at_boundary(monkeypatch):
+    """On a noiseless channel with a graded metric the objective rises
+    with theta without bound, so theta_hat ends on its upper bound and
+    the result must say so."""
+    monkeypatch.setattr(exponents, "THETA_HAT_MAX", 10.0)
+    ch = Dmc(input_size=2, output_size=2, w=np.eye(2))
+    p = InputDist(p=np.array([0.5, 0.5]))
+    u = DecodingMetric(u=np.array([[1.0, 0.5], [0.5, 1.0]]), name="graded")
+    res = er_mismatch_dual(ch, p, u, 0.3)
+    assert res.diagnostics["theta_at_boundary"] is True
+    assert res.rho_star == 1.0
+    # 1 - R + log2 U_theta(x|x) at theta = 10
+    assert res.value_bits == pytest.approx(0.7 - math.log2(1.0 + 0.5 ** 10),
+                                           abs=1e-12)
 
 
 def test_mismatch_dual_nonnegative_random():

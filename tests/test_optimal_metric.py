@@ -134,6 +134,15 @@ def test_optimize_metric_bsc_equivalent_to_ml():
     assert opt.achieved_exponent == pytest.approx(ml_val, abs=1e-8)
 
 
+def test_optimize_metric_builds_at_cc_rho_star(paper_channel):
+    ch, p = paper_channel
+    for r in np.arange(0.05, 0.46, 0.05):
+        opt = optimize_metric(ch, p, float(r))
+        assert opt.rho_star == er_cc_dual(ch, p, float(r)).rho_star
+        assert opt.fixed_point.rho == opt.rho_star
+        assert opt.saturation_gap <= 1e-12, f"R={r:.2f}: {opt.saturation_gap}"
+
+
 def test_optimize_metric_saturation_tol_enforced(paper_channel):
     ch, p = paper_channel
     with pytest.raises(SaturationError):
