@@ -21,8 +21,9 @@ The constant-composition exponent E_r^cc(R) is the classical
                   - rho R                                            (dual)
 
 computed here by exchanging min and max (the bracket is convex in V and
-concave in rho, so the exchange is exact) and solving the inner V
-minimization by alternating minimization with a monotone objective.
+concave in rho, so the exchange is exact). Alternating minimization
+solves the inner V problem, whose minimizer also yields the Z_rho fixed
+point of the compensating metric, and rho_star is a root in rho.
 
 Zero-probability handling: terms with W(y|x) = 0 are dropped; a metric
 zero on the channel support makes the inner sum +inf and the objective
@@ -42,10 +43,10 @@ from itertools import product
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import brentq, minimize
 
 from .channel import (ConditionalDist, DecodingMetric, Dmc, InputDist,
-                      TiltedMetric, posterior)
+                      TiltedMetric, mutual_information, posterior)
 from .errors import (ChannelSpecError, DimensionTooLargeError,
                      MetricSupportError, NonConvergentError)
 
@@ -72,6 +73,8 @@ RHO_FLOOR = 1e-9       # smallest rho searched; a maximizer on it is rho = 0
 THETA_HAT_MAX = 1e8    # upper bound of theta_hat = rho * theta
 LOG1P_MAX = 1.0        # largest -rho log U_theta summed in log1p form
 PG_TOL = 1e-6          # projected-gradient norm accepted at a maximizer
+AM_TOL = 1e-12         # relative sup-norm change of Z that stops _e0cc
+AM_MAX_ITER = 100000
 
 
 @dataclass(frozen=True)
@@ -363,40 +366,66 @@ def er_mismatch_dual(ch: Dmc, p: InputDist, u: DecodingMetric,
 # ----------------------------------------------------------------------
 
 def _e0cc(wp: np.ndarray, pp: np.ndarray, rho: float,
-          v0: Optional[np.ndarray] = None,
-          tol: float = 1e-15, max_iter: int = 200000):
-    """min over V of -(1+rho) sum_x p log2 sum_y wp V^{rho/(1+rho)}.
+          v0: Optional[np.ndarray] = None):
+    """min over V of -(1+rho) sum_x p log2 Z(x), Z = wp @ V^{rho/(1+rho)}.
 
     wp is W^{1/(1+rho)} on the support rows. Alternating minimization:
     tilt the channel toward V, then replace V by the tilted output
-    marginal; the objective decreases monotonically (both half-steps are
-    exact minimizations of the same jointly convex functional).
+    marginal; the objective decreases monotonically. At the minimizer Z
+    is the Z_rho fixed point and V = zeta^{1+rho}, zeta = sum_x p wp / Z.
+    Stops when Z's relative sup-norm change drops below AM_TOL.
+
+    Returns (E0cc in bits, V, Z, iterations), V = zeta^{1+rho} of the
+    returned Z as FixedPoint.from_z derives it: Z follows the AM iterate
+    of V at only rho/(1+rho) of its change, so pins V down better.
     """
     ny = wp.shape[1]
-    v = np.full(ny, 1.0 / ny) if v0 is None else np.array(v0)
+    v = np.full(ny, 1.0 / ny) if v0 is None else np.asarray(v0)
     ex = rho / (1.0 + rho)
-    j_prev = math.inf
-    for it in range(1, max_iter + 1):
-        s = wp @ (v ** ex)
-        j = float(-(1.0 + rho) * (pp * np.log2(s)).sum())
-        wt = wp * (v ** ex)[None, :] / s[:, None]
-        v = pp @ wt
-        if abs(j_prev - j) < tol * max(1.0, abs(j)):
-            return j, v, it
-        j_prev = j
+    z_prev = math.inf
+    for it in range(1, AM_MAX_ITER + 1):
+        a = v ** ex
+        z = wp @ a
+        zeta = (pp / z) @ wp
+        change = float(np.max(np.abs(z - z_prev) / z))
+        if change < AM_TOL:
+            e0 = float(-(1.0 + rho) * (pp @ np.log2(z)))
+            return e0, zeta ** (1.0 + rho), z, it
+        v, z_prev = a * zeta, z
     raise NonConvergentError(
         f"alternating minimization stalled at rho={rho:g}",
-        residual=abs(j_prev - j), iterations=max_iter)
+        residual=change, iterations=AM_MAX_ITER)
+
+
+def _cc_primal_value(w: np.ndarray, pp: np.ndarray, q: np.ndarray,
+                     rr: float) -> float:
+    """D(Q||W|P) + [I_Q(X;Y) - R]_+ in bits for Q zero wherever W is."""
+    pos = q > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(pos, q * np.log2(q / w), 0.0).sum(axis=1)
+        i = np.where(pos, q * np.log2(q / (pp @ q)), 0.0).sum(axis=1)
+    return float(pp @ d + max(pp @ i - rr, 0.0))
 
 
 def er_cc_dual(ch: Dmc, p: InputDist,
                rate: Union[RatePoint, float]) -> ExponentResult:
     """Constant-composition exponent, dual form.
 
-    Evaluated as max over rho of [E0cc(rho) - rho R] after exchanging
-    the min over V with the max over rho (exact: the objective is
-    convex in V, concave in rho, and the simplex is compact). The
-    reported V is the minimizer at rho_star.
+    max over rho in [0, 1] of E0cc(rho) - rho R, the min over V taken
+    inside (exact: convex in V, concave in rho, compact simplex). At the
+    inner minimizer, with W~ the tilted channel, the concave E0cc has
+    the envelope-theorem slope
+
+        E0cc'(rho) = -sum_x P log2 Z + (1+rho)^-1 sum_x P sum_y W~ log2(W/V)
+
+    and E0cc'(0) = I(X;Y). So rho_star is 0 for R >= I(X;Y), 1 when
+    E0cc'(1) >= R, and otherwise the root of E0cc'(rho) = R, found by
+    brentq with V warm-started between probes.
+
+    diagnostics: am_iterations; v_star and z_star, V and Z_rho on the
+    support of P at rho_star; duality_gap, the primal objective
+    D(W~||W|P) + [I_{W~}(X;Y) - R]_+ at the returned W~ minus the
+    returned value (>= 0 up to round-off).
     """
     rp = as_rate(rate)
     _check_shapes(ch, p)
@@ -404,42 +433,39 @@ def er_cc_dual(ch: Dmc, p: InputDist,
     w = ch.w[keep]
     pp = p.p[keep]
     rr = rp.rate_bits
-
-    rhos = np.linspace(0.0, 1.0, 33)
-    vals = np.zeros_like(rhos)
+    mi = mutual_information(p, ch)
+    # rho = 0 in closed form: Z = 1, V is the output law, W is its own
+    # tilt, and E0cc'(0) = I(X;Y)
+    solves = {0.0: (0.0, pp @ w, np.ones(len(pp)), w, mi)}
     am_iters = 0
-    v_warm = None
-    for idx, rho in enumerate(rhos):
-        if rho == 0.0:
-            continue
-        e0, v_warm, it = _e0cc(w ** (1.0 / (1.0 + rho)), pp, rho, v0=v_warm)
-        vals[idx] = e0 - rho * rr
-        am_iters += it
-    i = int(np.argmax(vals))
+    v = None
 
-    state = {"iters": am_iters}
+    def slope_minus_rate(rho: float) -> float:
+        nonlocal am_iters, v
+        if rho not in solves:
+            wp = w ** (1.0 / (1.0 + rho))
+            e0, v, z, it = _e0cc(wp, pp, rho, v)
+            am_iters += it
+            wt = wp * (v ** (rho / (1.0 + rho)))[None, :]
+            wt /= wt.sum(axis=1, keepdims=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lr = np.where(wt > 0, wt * np.log2(w / v), 0.0).sum(axis=1)
+            slope = -(pp @ np.log2(z)) + (pp @ lr) / (1.0 + rho)
+            solves[rho] = (e0, v, z, wt, slope)
+        return solves[rho][-1] - rr
 
-    def neg_phi(rho: float) -> float:
-        if rho <= 0.0:
-            return 0.0
-        e0, _, it = _e0cc(w ** (1.0 / (1.0 + rho)), pp, rho)
-        state["iters"] += it
-        return -(e0 - rho * rr)
-
-    lo = rhos[max(i - 1, 0)]
-    hi = rhos[min(i + 1, len(rhos) - 1)]
-    res = minimize_scalar(neg_phi, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    best, rho_star = vals[i], rhos[i]
-    if -res.fun > best:
-        best, rho_star = -res.fun, float(res.x)
-
-    diags = {"am_iterations": state["iters"], "rho_grid_best": float(rhos[i])}
-    if best <= 0.0:
-        diags["v_star"] = None
-        return ExponentResult(0.0, rho_star=0.0, diagnostics=diags)
-    _, diags["v_star"], _ = _e0cc(w ** (1.0 / (1.0 + rho_star)), pp, rho_star)
-    return ExponentResult(float(best), rho_star=rho_star, diagnostics=diags)
+    if rr >= mi:
+        rho_star = 0.0
+    elif slope_minus_rate(1.0) >= 0.0:
+        rho_star = 1.0
+    else:
+        rho_star = float(brentq(slope_minus_rate, 0.0, 1.0))
+        slope_minus_rate(rho_star)  # a lookup: brentq returns a probe
+    e0, v_star, z_star, wt, _ = solves[rho_star]
+    value = max(e0 - rho_star * rr, 0.0)
+    diags = {"am_iterations": am_iters, "v_star": v_star, "z_star": z_star,
+             "duality_gap": _cc_primal_value(w, pp, wt, rr) - value}
+    return ExponentResult(value, rho_star=rho_star, diagnostics=diags)
 
 
 # ----------------------------------------------------------------------

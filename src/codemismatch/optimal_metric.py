@@ -13,9 +13,10 @@ which compensates the codebook mismatch: decoding the full linear code
 with U(.|., rho_star) achieves the constant-composition exponent that a
 matched decoder would get on the subcode alone. At rho = 0 the metric
 reduces to the posterior P_{X|Y} (MAP). The map sends c*Z to
-c^{-rho} * map(Z), so for rho > 0 solutions are not scale-free and the
-solver must hit the genuine fixed point; success is judged by the
-substitution residual, never by normalizing Z.
+c^{-rho} * map(Z), so for rho > 0 solutions are not scale-free; success
+is judged by the substitution residual, never by normalizing Z. The
+system is the inner minimization of the constant-composition dual
+(V below is its minimizer), so that dual's solver finds Z.
 
 Derived quantities stored with the solution:
 
@@ -37,9 +38,10 @@ from typing import Union
 import numpy as np
 
 from .channel import DecodingMetric, Dmc, InputDist, tilt_metric
-from .errors import (ChannelSpecError, NonConvergentError,
-                     NonPositiveIterateError, SaturationError)
-from .exponents import RatePoint, as_rate, er_cc_dual, er_mismatch_dual
+from .errors import (ChannelSpecError, NonPositiveIterateError,
+                     SaturationError)
+from .exponents import (RatePoint, _e0cc, as_rate, er_cc_dual,
+                        er_mismatch_dual)
 
 __all__ = [
     "FixedPoint",
@@ -51,8 +53,6 @@ __all__ = [
     "verify_saturation",
 ]
 
-FP_TOL = 1e-12          # sup-norm relative change stopping rule
-FP_MAX_ITER = 100000
 JENSEN_TOL = 1e-8       # K(x)-constancy spread
 POSTERIOR_TOL = 1e-10   # metric vs tilted-posterior form
 ZETA_TOL = 1e-10        # zeta^rho vs V^{rho/(1+rho)}
@@ -125,18 +125,13 @@ class FixedPoint:
                    residual=residual, iterations=iterations)
 
 
-def solve_fixed_point(ch: Dmc, p: InputDist, rho: float, *,
-                      tol: float = FP_TOL,
-                      max_iter: int = FP_MAX_ITER) -> FixedPoint:
-    """Solve the Z_rho system by damped substitution.
+def solve_fixed_point(ch: Dmc, p: InputDist, rho: float) -> FixedPoint:
+    """Solve the Z_rho system with the cc dual's inner solver.
 
-    Plain substitution from Z = 1; after the first increase of the
-    step-to-step change, switches permanently to geometric damping
-    Z <- sqrt(Z * map(Z)). Stops when the sup-norm relative change
-    drops below tol; the reported residual is one extra substitution.
-
-    rho = 0 is exact: the bracket power vanishes, so Z = row sums = 1
-    for any stochastic W.
+    exponents._e0cc runs alternating minimization from the uniform V;
+    FixedPoint.from_z derives the rest from its Z and reports the
+    residual of one substitution step. rho = 0 is exact: the bracket
+    power vanishes, so Z = row sums = 1 for any stochastic W.
     """
     if not (0.0 <= rho <= 1.0):
         raise ChannelSpecError(f"rho = {rho} outside [0, 1]")
@@ -149,30 +144,9 @@ def solve_fixed_point(ch: Dmc, p: InputDist, rho: float, *,
     if rho == 0.0:
         z = np.ones(int(keep.sum()))
         return FixedPoint.from_z(ch, p, 0.0, z, iterations=0)
-
     wp = ch.w[keep] ** (1.0 / (1.0 + rho))
-    pp = p.p[keep]
-    z = np.ones(len(pp))
-    damped = False
-    prev_change = math.inf
-    for it in range(1, max_iter + 1):
-        zeta = (pp / z) @ wp
-        t = wp @ (zeta ** rho)
-        if np.any(~np.isfinite(t)) or np.any(t <= 0):
-            raise NonPositiveIterateError(
-                f"fixed-point iterate left the positive orthant at "
-                f"iteration {it} (rho={rho:g})", iterations=it)
-        change = float(np.max(np.abs(t - z) / z))
-        if change < tol:
-            return FixedPoint.from_z(ch, p, rho, t, iterations=it)
-        if change > prev_change:
-            damped = True
-        z = np.sqrt(z * t) if damped else t
-        prev_change = change
-    raise NonConvergentError(
-        f"fixed point did not converge in {max_iter} iterations at "
-        f"rho={rho:g} (last change {change:.3e})",
-        residual=change, iterations=max_iter)
+    _, _, z, it = _e0cc(wp, p.p[keep], rho)
+    return FixedPoint.from_z(ch, p, rho, z, iterations=it)
 
 
 def build_metric(fp: FixedPoint, p: InputDist, ch: Dmc) -> DecodingMetric:
@@ -216,26 +190,24 @@ def optimize_metric(ch: Dmc, p: InputDist,
     """Build the compensating metric at the cc dual's rho_star.
 
     The metric built from the constant-composition dual's own maximizer
-    reaches E_r^cc, so no rho is searched: the fixed point is solved
-    once, at er_cc_dual's rho_star, and a failure there raises. The
-    achieved exponent is re-checked independently by er_mismatch_dual
-    and must meet the cc exponent within saturation_tol.
-
-    Rates at or above H(P_X) short-circuit to the rho = 0 metric (the
-    posterior): every metric has exponent 0 there.
+    reaches E_r^cc, so no rho is searched, and the metric is built from
+    the dual's own Z_rho (diagnostics "z_star") with no second solve.
+    er_mismatch_dual re-checks the achieved exponent independently; it
+    must meet the cc exponent within saturation_tol. At or above I(X;Y)
+    the metric is the posterior (rho_star = 0); at or above H(P_X) every
+    metric has exponent 0 and the re-check is skipped.
     """
     rp = as_rate(rate)
     rr = rp.rate_bits
-    if rr >= p.entropy_bits:
-        fp = solve_fixed_point(ch, p, 0.0)
-        return OptimalMetric(rho_star=0.0, metric=build_metric(fp, p, ch),
-                             achieved_exponent=0.0, cc_exponent=0.0,
-                             saturation_gap=0.0, fixed_point=fp)
-
     cc = er_cc_dual(ch, p, rp)
     rho_star = float(cc.rho_star)
-    fp = solve_fixed_point(ch, p, rho_star)
+    fp = FixedPoint.from_z(ch, p, rho_star, cc.diagnostics["z_star"],
+                           iterations=cc.diagnostics["am_iterations"])
     u = build_metric(fp, p, ch)
+    if rr >= p.entropy_bits:
+        return OptimalMetric(rho_star=rho_star, metric=u,
+                             achieved_exponent=0.0, cc_exponent=0.0,
+                             saturation_gap=0.0, fixed_point=fp)
     achieved = er_mismatch_dual(ch, p, u, rp).value_bits
     gap = abs(achieved - cc.value_bits)
     if gap > saturation_tol:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from codemismatch import load_channel_spec, mutual_information, posterior
+from codemismatch import (ExponentResult, er_cc_dual, load_channel_spec,
+                          mutual_information, optimal_metric, posterior)
 from codemismatch.cli import main
 
 W4 = [[0.80, 0.12, 0.05, 0.03],
@@ -137,7 +138,13 @@ def test_optimal_metric_needs_exactly_one_rate(paper_spec_path, capsys):
                  "--rate", "0.2", "--r-fec", "0.5"]) == 2
 
 
-def test_optimal_metric_unreachable_tolerance(paper_spec_path, capsys):
+def test_optimal_metric_unreachable_tolerance(paper_spec_path, capsys,
+                                              monkeypatch):
+    # the re-check misses the cc exponent by 1e-3, so no round-off decides
+    def short_by_1e3(ch, p, u, rate):
+        return ExponentResult(er_cc_dual(ch, p, rate).value_bits - 1e-3)
+
+    monkeypatch.setattr(optimal_metric, "er_mismatch_dual", short_by_1e3)
     assert main(["optimal-metric", "--channel", paper_spec_path,
                  "--rate", "0.25", "--tol", "saturation=1e-18"]) == 3
     err = capsys.readouterr().err

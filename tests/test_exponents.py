@@ -8,6 +8,7 @@ from scipy.special import logsumexp, rel_entr, xlogy
 
 from codemismatch import (ChannelSpecError, DecodingMetric,
                           DimensionTooLargeError, Dmc, ExponentCurve,
+                          FixedPoint,
                           InputDist, MetricSupportError, RatePoint, er_cc_dual,
                           er_cc_primal, er_mismatch_dual,
                           er_mismatch_primal_oracle, map_capacity_gap,
@@ -319,6 +320,69 @@ def test_cc_dual_diagnostics(paper_channel):
     v = np.asarray(res.diagnostics["v_star"])
     assert v.shape == (ch.output_size,)
     assert abs(v.sum() - 1.0) < 1e-9
+
+
+def test_cc_dual_z_star_is_the_fixed_point(paper_channel):
+    """z_star solves the Z_rho system and v_star is the V it implies,
+    on the bundled channel, random triples and channels with zeros."""
+    cases = [(*paper_channel, float(r)) for r in np.arange(0.05, 0.46, 0.05)]
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        ch, p, _ = random_triple(rng)
+        cases.append((ch, p, 0.5 * mutual_information(p, ch)))
+    for w, pv in ((np.array([[0.7, 0.3, 0.0], [0.0, 0.4, 0.6]]), [0.4, 0.6]),
+                  (np.array([[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]]), [0.5, 0.5])):
+        ch = Dmc(input_size=2, output_size=3, w=w)
+        p = InputDist(p=np.array(pv))
+        cases += [(ch, p, f * mutual_information(p, ch)) for f in (0.1, 0.6)]
+    for ch, p, r in cases:
+        res = er_cc_dual(ch, p, r)
+        fp = FixedPoint.from_z(ch, p, res.rho_star, res.diagnostics["z_star"])
+        assert fp.residual < 1e-12, f"R={r:.4f}: residual {fp.residual:.2e}"
+        assert np.max(np.abs(fp.v - res.diagnostics["v_star"])) <= 1e-12
+
+
+def test_cc_dual_duality_gap_certificate(paper_channel):
+    """The primal objective at the returned tilted channel meets the
+    dual value within 1e-12 at the bundled channel's 9 rates and on the
+    A5 corpus."""
+    cases = [(*paper_channel, float(r)) for r in np.arange(0.05, 0.46, 0.05)]
+    rng = np.random.default_rng(77)  # the A5 corpus draws
+    for _ in range(20):
+        ch, p, _ = random_triple(rng)
+        mi = mutual_information(p, ch)
+        cases.append((ch, p,
+                      float(rng.uniform(0.2, 0.8) * mi) if mi > 1e-6 else 0.01))
+    ch, p = paper_channel
+    cases += [(ch, p, f * mutual_information(p, ch)) for f in (0.3, 0.6)]
+    for ch, p, r in cases:
+        gap = er_cc_dual(ch, p, r).diagnostics["duality_gap"]
+        assert abs(gap) <= 1e-12, f"R={r:.4f}: duality gap {gap:.2e}"
+
+
+def test_cc_dual_rate_slope_is_minus_rho_star(paper_channel):
+    """Envelope theorem: dE_cc/dR = -rho_star. Below the critical rate
+    rho_star is exactly 1."""
+    ch, p = paper_channel
+    h = 1e-4
+    for r in (0.25, 0.30, 0.35, 0.40):
+        slope = (er_cc_dual(ch, p, r + h).value_bits
+                 - er_cc_dual(ch, p, r - h).value_bits) / (2 * h)
+        rho = er_cc_dual(ch, p, r).rho_star
+        assert 0.0 < rho < 1.0
+        assert abs(slope + rho) <= 1e-6, f"R={r}: {slope} vs -{rho}"
+    for r in (0.05, 0.10, 0.15, 0.20):
+        assert er_cc_dual(ch, p, r).rho_star == 1.0
+
+
+def test_cc_dual_exactly_zero_from_capacity_up(paper_channel):
+    ch, p = paper_channel
+    mi = mutual_information(p, ch)
+    for r in (mi, mi + 0.1, p.entropy_bits + 0.1):
+        res = er_cc_dual(ch, p, r)
+        assert res.value_bits == 0.0 and res.rho_star == 0.0
+        assert abs(res.diagnostics["duality_gap"]) <= 1e-12
+        assert np.all(res.diagnostics["z_star"] == 1.0)
 
 
 # ------------------------------------------------------------ primal oracle

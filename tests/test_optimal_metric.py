@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from codemismatch import (ChannelSpecError, DecodingMetric, Dmc, FixedPoint,
-                          InputDist, NonPositiveIterateError, SaturationError,
+from codemismatch import (ChannelSpecError, DecodingMetric, Dmc,
+                          ExponentResult, FixedPoint, InputDist,
+                          NonPositiveIterateError, SaturationError,
                           build_metric, er_cc_dual, er_mismatch_dual,
                           map_metric, ml_metric, mutual_information, posterior,
                           optimize_metric, solve_fixed_point,
                           verify_saturation)
+from codemismatch import optimal_metric
 
 
 def test_fixed_point_rho_zero_exact(paper_channel):
@@ -143,10 +145,33 @@ def test_optimize_metric_builds_at_cc_rho_star(paper_channel):
         assert opt.saturation_gap <= 1e-12, f"R={r:.2f}: {opt.saturation_gap}"
 
 
-def test_optimize_metric_saturation_tol_enforced(paper_channel):
+def test_optimize_metric_saturation_tol_enforced(paper_channel, monkeypatch):
+    """A re-check that misses the cc exponent by more than the default
+    tolerance raises."""
     ch, p = paper_channel
+
+    def short_by_1e3(ch, p, u, rate):
+        return ExponentResult(er_cc_dual(ch, p, rate).value_bits - 1e-3)
+
+    monkeypatch.setattr(optimal_metric, "er_mismatch_dual", short_by_1e3)
     with pytest.raises(SaturationError):
-        optimize_metric(ch, p, 0.25, saturation_tol=1e-16)
+        optimize_metric(ch, p, 0.25)
+
+
+def test_optimize_metric_makes_no_second_solve(paper_channel, monkeypatch):
+    """The metric is built from er_cc_dual's own z_star."""
+    ch, p = paper_channel
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimize_metric called solve_fixed_point")
+
+    monkeypatch.setattr(optimal_metric, "solve_fixed_point", forbidden)
+    mi = mutual_information(p, ch)
+    for r in (0.1, 0.25, 0.4, mi, p.entropy_bits + 0.1):
+        opt = optimize_metric(ch, p, r)
+        assert opt.fixed_point.residual < 1e-12
+    post = posterior(p, ch).q
+    assert np.max(np.abs(optimize_metric(ch, p, mi).metric.u - post)) <= 1e-12
 
 
 def test_verify_saturation_passes_on_matched_pair(paper_channel):
