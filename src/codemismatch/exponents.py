@@ -20,10 +20,12 @@ The constant-composition exponent E_r^cc(R) is the classical
     min_V max_rho -(1+rho) sum_x P(x) log2 sum_y (W V^rho)^{1/(1+rho)}
                   - rho R                                            (dual)
 
-computed here by exchanging min and max (the bracket is convex in V and
-concave in rho, so the exchange is exact). Alternating minimization
-solves the inner V problem, whose minimizer also yields the Z_rho fixed
-point of the compensating metric, and rho_star is a root in rho.
+The dual is computed by exchanging min and max (the bracket is convex
+in V and concave in rho, so the exchange is exact). Alternating
+minimization solves the inner V problem, whose minimizer also yields the
+Z_rho fixed point of the compensating metric, and rho_star is a root in
+rho. The primal is solved on its own, through the Lagrangian of its
+kink, and carries its own certificate, so it checks the dual.
 
 Zero-probability handling: terms with W(y|x) = 0 are dropped; a metric
 zero on the channel support makes the inner sum +inf and the objective
@@ -37,7 +39,6 @@ candidate sequences over the full padded alphabet.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence, Union
@@ -75,6 +76,8 @@ LOG1P_MAX = 1.0        # largest -rho log U_theta summed in log1p form
 PG_TOL = 1e-6          # projected-gradient norm accepted at a maximizer
 AM_TOL = 1e-12         # relative sup-norm change of Z that stops _e0cc
 AM_MAX_ITER = 100000
+NEWTON_MAX = 10       # Newton steps after each L-BFGS-B solve of the cc primal
+NEWTON_TOL = 1e-12    # sup-norm of a log-coordinate step that ends them
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,15 @@ class _MismatchProblem:
         self.keep = p.p > 0
         with np.errstate(divide="ignore"):
             self.lnw = _log_masked(ch.w[self.keep])
-            self.log_u = _log_masked(u.u)
+            log_u = _log_masked(u.u)
+        # tilting U by theta is tilting U^c by theta/c, so theta's unit is
+        # set by the metric. Scores spanning less than one bit are stretched
+        # to span one, or the theta_hat box and PG_TOL would be out of
+        # scale; theta in this problem is then theta_star * scale
+        finite = log_u[np.isfinite(log_u)]
+        spread = float(np.ptp(finite)) / LN2 if finite.size else 0.0
+        self.scale = min(spread, 1.0) if spread > 0.0 else 1.0
+        self.log_u = log_u / self.scale
         self.on_support = np.isfinite(self.lnw)
         self.u_pos = np.isfinite(self.log_u)
         self.w = ch.w[self.keep]
@@ -306,11 +317,13 @@ def er_mismatch_dual(ch: Dmc, p: InputDist, u: DecodingMetric,
 
     A coarse (rho, theta) grid gives the start point; L-BFGS-B with the
     analytic gradient then maximizes the jointly concave objective over
-    rho in [RHO_FLOOR, 1] and theta_hat = rho*theta in [0, THETA_HAT_MAX].
-    Convergence is judged by the projected-gradient norm at the
-    returned point, not by the solver's own flag, which reports an
-    ABNORMAL line search once steps reach the precision floor; a norm
-    above PG_TOL at a positive exponent raises NonConvergentError.
+    rho in [RHO_FLOOR, 1] and theta_hat = rho*theta in [0, THETA_HAT_MAX],
+    theta measured on the metric's scores stretched to span at least one
+    bit (theta_star is mapped back to U's own scale). Convergence is judged
+    by the projected-gradient norm at the returned point, not by the
+    solver's own flag, which reports an ABNORMAL line search once steps
+    reach the precision floor; a norm above PG_TOL at a positive
+    exponent raises NonConvergentError.
     """
     rp = as_rate(rate)
     prob = _MismatchProblem(ch, p, u, rp)
@@ -357,7 +370,8 @@ def er_mismatch_dual(ch: Dmc, p: InputDist, u: DecodingMetric,
     if clamped:
         return ExponentResult(0.0, rho_star=0.0, theta_star=None,
                               diagnostics=diags)
-    return ExponentResult(best, rho_star=rho, theta_star=that / rho,
+    return ExponentResult(best, rho_star=rho,
+                          theta_star=that / (rho * prob.scale),
                           diagnostics=diags)
 
 
@@ -474,111 +488,102 @@ def er_cc_dual(ch: Dmc, p: InputDist,
 
 def er_cc_primal(ch: Dmc, p: InputDist,
                  rate: Union[RatePoint, float]) -> ExponentResult:
-    """min over Q_{Y|X} of D(Q||W|P_X) + [I_Q(X;Y) - R]_+.
+    """min over Q_{Y|X} of D(Q||W|P_X) + [I_Q(X;Y) - R]_+, solved through
+    the Lagrangian of the kink and independently of the dual form:
 
-    Each conditional row is parameterized by softmax coordinates over
-    the support of the matching W row (the optimum is absolutely
-    continuous w.r.t. W, so nothing is lost), minimized by L-BFGS-B
-    with the analytic gradient from Q = W plus 5 random restarts, then
-    polished with an SLSQP epigraph step (min t subject to t >= both
-    branches of the max). The objective is convex, so restarts must
-    agree; spread beyond 1e-7 is flagged.
+        E = max_{s in [0,1]} g(s),  g(s) = min_Q L_s(Q),
+        L_s(Q) = D(Q||W|P_X) + s (I_Q(X;Y) - R),
+
+    g concave with g'(s) = I_{Q_s} - R at the minimizer Q_s. So E = 0 at
+    Q = W for R >= I(X;Y), E = g(1) when I_{Q_1} >= R, and otherwise
+    s_star is the brentq root of I_{Q_s} = R. Each g(s) is an L-BFGS-B
+    solve in softmax coordinates on the support of W, warm-started from
+    the last probe, then Newton steps on the stationarity conditions
+    (1+s) log Q - log W - s log Q_Y = const per row. Those are nearly
+    linear in log Q, so they place even tiny entries to round-off, where
+    a line search on the value stalls near sqrt(machine epsilon).
+
+    The value is the primal objective at the returned Q, an upper bound.
+    diagnostics: lbfgs_iterations and newton_steps over all solves,
+    s_star, and duality_gap = value - (L_s(Q) - FW(Q)) at s_star, where
+    FW(Q) = sum_x [sum_y Q dL_s/dQ - min_y dL_s/dQ] on the support is the
+    Frank-Wolfe gap; by convexity L_s - FW is a lower bound on E.
     """
     rp = as_rate(rate)
     _check_shapes(ch, p)
     keep = p.p > 0
     w = ch.w[keep]
     pp = p.p[keep]
-    nx, ny = w.shape
     rr = rp.rate_bits
+    mi = mutual_information(p, ch)
+    work = {"lbfgs_iterations": 0, "newton_steps": 0}
+    if rr >= mi:
+        return ExponentResult(0.0, diagnostics={
+            **work, "s_star": 0.0, "duality_gap": 0.0})
+    xs, ys = np.nonzero(w > 0)             # the support of W, row by row
+    rows = np.flatnonzero(np.diff(xs, prepend=-1))
+    n, nr = len(xs), len(rows)
+    lw = np.log(w[xs, ys])
+    px = pp[xs] / LN2                      # P(x) per support entry, in bits
 
-    support = [np.flatnonzero(w[x] > 0) for x in range(nx)]
-    sizes = [len(s) for s in support]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    dim = int(offs[-1])
-    lw = [np.log(w[x, support[x]]) for x in range(nx)]
+    def terms(t, s):
+        """Q, D, I and dL_s/dQ on the support, log Q = t up to row shifts."""
+        t = t - np.maximum.reduceat(t, rows)[xs]
+        lq = t - np.log(np.add.reduceat(np.exp(t), rows))[xs]
+        q = np.exp(lq)
+        ld = lq - lw
+        li = lq - np.log(np.bincount(ys, px * q)[ys] * LN2)
+        return q, px @ (q * ld), px @ (q * li), px * (ld + s * li)
 
-    def unpack(coords):
-        q = np.zeros((nx, ny))
-        for x in range(nx):
-            t = coords[offs[x]:offs[x + 1]]
-            t = t - _logsumexp(t)
-            q[x, support[x]] = np.exp(t)
-        return q
+    def lagrangian(t, s):
+        q, d, i, g = terms(t, s)
+        return d + s * (i - rr), q * (g - np.add.reduceat(q * g, rows)[xs])
 
-    def parts(coords):
-        q = unpack(coords)
-        qy = pp @ q
-        f0 = 0.0
-        iq = 0.0
-        for x in range(nx):
-            qx = q[x, support[x]]
-            lq = np.log(np.maximum(qx, 1e-300))
-            f0 += pp[x] * (qx * (lq - lw[x])).sum() / LN2
-            lqy = np.log(np.maximum(qy[support[x]], 1e-300))
-            iq += pp[x] * (qx * (lq - lqy)).sum() / LN2
-        return f0, iq, q, qy
+    # Jacobian of [stationarity residual; row sums] in (log Q, row constant)
+    jac = np.zeros((n + nr, n + nr))
+    jac[np.arange(n), n + xs] = 1.0
+    same_y = ys[:, None] == ys[None, :]
 
-    def fval_grad(coords):
-        f0, iq, q, qy = parts(coords)
-        g = np.zeros(dim)
-        active = iq - rr > 0
-        for x in range(nx):
-            qx = q[x, support[x]]
-            lq = np.log(np.maximum(qx, 1e-300))
-            d = pp[x] * (lq - lw[x] + 1.0) / LN2
-            if active:
-                lqy = np.log(np.maximum(qy[support[x]], 1e-300))
-                d = d + pp[x] * (lq - lqy) / LN2
-            g[offs[x]:offs[x + 1]] = qx * (d - (qx * d).sum())
-        return f0 + max(iq - rr, 0.0), g
+    def solve(t, s):
+        res = minimize(lagrangian, t, args=(s,), jac=True, method="L-BFGS-B",
+                       options={"gtol": 1e-4})
+        work["lbfgs_iterations"] += res.nit
+        t = res.x
+        for _ in range(NEWTON_MAX):
+            work["newton_steps"] += 1
+            q, _, _, g = terms(t, s)
+            pq = px * q
+            jac[:n, :n] = -s * same_y * pq / np.bincount(ys, pq)[ys][:, None]
+            jac[np.arange(n), np.arange(n)] += 1.0 + s
+            jac[n + xs, np.arange(n)] = q
+            step = np.linalg.solve(jac, np.r_[-g / px, np.zeros(nr)])[:n]
+            t = np.log(q) + step
+            if np.max(np.abs(step)) <= NEWTON_TOL:
+                break
+        return t
 
-    # epigraph polish: min t  s.t.  t >= f0, t >= f0 + iq - R
-    # (L-BFGS alone stalls on the [.]_+ kink, start-dependently)
-    def c1(z):
-        f0, _, _, _ = parts(z[:-1])
-        return z[-1] - f0
+    solves = {0.0: (lw, mi - rr)}          # s = 0 in closed form: Q = W
+    t = lw
 
-    def c2(z):
-        f0, iq, _, _ = parts(z[:-1])
-        return z[-1] - (f0 + iq - rr)
+    def info_minus_rate(s: float) -> float:
+        nonlocal t
+        if s not in solves:
+            t = solve(t, s)                # warm start: the last probe
+            solves[s] = (t, terms(t, s)[2] - rr)
+        return solves[s][1]
 
-    def polish(x0, v0):
-        z0 = np.concatenate([x0, [v0 + 1e-9]])
-        res = minimize(lambda z: z[-1], z0, method="SLSQP",
-                       constraints=[{"type": "ineq", "fun": c1},
-                                    {"type": "ineq", "fun": c2}],
-                       options={"maxiter": 400, "ftol": 1e-14})
-        if not res.success:
-            return v0
-        f0, iq, _, _ = parts(res.x[:-1])
-        return min(v0, max(f0, f0 + iq - rr))
-
-    rng = np.random.default_rng(0)
-    starts = [np.concatenate(lw)]
-    starts += [rng.normal(0.0, 1.0, dim) for _ in range(5)]
-    finals = []
-    best_val, nit = math.inf, 0
-    for s in starts:
-        res = minimize(fval_grad, s, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 20000, "ftol": 1e-17,
-                                "gtol": 1e-12})
-        nit += res.nit
-        finals.append(polish(res.x, float(res.fun)))
-        best_val = min(best_val, finals[-1])
-    if not math.isfinite(best_val):
-        raise NonConvergentError("all primal restarts failed",
-                                 iterations=nit)
-    spread = float(max(finals) - min(finals))
-    if spread > 1e-7:
-        warnings.warn(
-            f"primal restarts disagree by {spread:.3g} on a convex "
-            "objective; treat the result with suspicion", RuntimeWarning)
-
-    diags = {"restart_values": [float(v) for v in finals],
-             "restart_spread": spread,
-             "lbfgs_iterations": nit}
-    return ExponentResult(max(best_val, 0.0), diagnostics=diags)
+    if info_minus_rate(1.0) >= 0.0:
+        s = 1.0
+    else:
+        s = float(brentq(info_minus_rate, 0.0, 1.0))
+        info_minus_rate(s)  # a lookup: brentq returns a probe
+    q, d, i, g = terms(solves[s][0], s)
+    fw = q @ (g - np.minimum.reduceat(g, rows)[xs])
+    # value - L_s(Q) = [I - R]_+ - s (I - R): one of the two products is
+    # >= 0 and the other <= 0, so the gap is >= 0 in floating point too
+    gap = fw + max((1.0 - s) * (i - rr), s * (rr - i))
+    return ExponentResult(float(max(d + max(i - rr, 0.0), 0.0)), diagnostics={
+        **work, "s_star": s, "duality_gap": float(gap)})
 
 
 # ----------------------------------------------------------------------

@@ -188,6 +188,19 @@ def test_mismatch_dual_theta_at_boundary(monkeypatch):
                                            abs=1e-12)
 
 
+def test_mismatch_dual_nearly_flat_metric():
+    """Tilting is scale-free: a metric whose scores differ by 1e-7 has
+    the same exponent as any graded one on a noiseless channel, the sup
+    1 - R approached as theta -> infinity."""
+    ch = Dmc(input_size=2, output_size=2, w=np.eye(2))
+    p = InputDist(p=np.array([0.5, 0.5]))
+    for eps in (1e-7, 1e-5, 0.5):
+        u = DecodingMetric(u=np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]]),
+                           name="flat")
+        res = er_mismatch_dual(ch, p, u, 0.3)
+        assert res.value_bits == pytest.approx(0.7, abs=1e-12), f"eps={eps}"
+
+
 def test_mismatch_dual_nonnegative_random():
     rng = np.random.default_rng(10)
     for _ in range(12):
@@ -292,6 +305,47 @@ def test_cc_primal_feasible_upper_bound(paper_channel):
         assert v >= -1e-12
 
 
+def test_cc_primal_duality_gap_certificate(paper_channel):
+    """The primal's own Frank-Wolfe lower bound meets its value within
+    1e-7 at the bundled channel's 9 rates and on the A5 corpus."""
+    for ch, p, r in _certificate_cases(paper_channel):
+        gap = er_cc_primal(ch, p, r).diagnostics["duality_gap"]
+        assert 0.0 <= gap <= 1e-7, f"R={r:.4f}: duality gap {gap:.2e}"
+
+
+def test_cc_primal_matches_dual_below_critical_rate():
+    """At 0.08-0.16 I(X;Y), the benchmark's primal band, on 20 random
+    triples."""
+    rng = np.random.default_rng(2024)
+    for i in range(20):
+        ch, p, _ = random_triple(rng)
+        r = float(rng.uniform(0.08, 0.16) * mutual_information(p, ch))
+        pr = er_cc_primal(ch, p, r).value_bits
+        d = er_cc_dual(ch, p, r).value_bits
+        assert abs(pr - d) <= 1e-9, f"case {i}: primal {pr} dual {d}"
+
+
+def test_cc_primal_independent_of_dual(monkeypatch, paper_channel):
+    def no_dual(*args, **kwargs):
+        raise AssertionError("the primal called the dual form")
+    monkeypatch.setattr(exponents, "_e0cc", no_dual)
+    monkeypatch.setattr(exponents, "er_cc_dual", no_dual)
+    ch, p = paper_channel
+    for r in (0.1, 0.35):  # below and above the critical rate
+        res = er_cc_primal(ch, p, r)
+        assert res.value_bits > 0.0
+        assert res.diagnostics["duality_gap"] <= 1e-7
+
+
+def test_cc_primal_exactly_zero_from_capacity_up(paper_channel):
+    ch, p = paper_channel
+    mi = mutual_information(p, ch)
+    for r in (mi, mi + 0.1, p.entropy_bits + 0.1):
+        res = er_cc_primal(ch, p, r)
+        assert res.value_bits == 0.0
+        assert res.diagnostics["duality_gap"] == 0.0
+
+
 def test_cc_primal_bsc_against_exhaustive_grid():
     """2x2 conditional grid at step 1e-3 brackets the solver output."""
     ch = bsc(0.1)
@@ -342,10 +396,8 @@ def test_cc_dual_z_star_is_the_fixed_point(paper_channel):
         assert np.max(np.abs(fp.v - res.diagnostics["v_star"])) <= 1e-12
 
 
-def test_cc_dual_duality_gap_certificate(paper_channel):
-    """The primal objective at the returned tilted channel meets the
-    dual value within 1e-12 at the bundled channel's 9 rates and on the
-    A5 corpus."""
+def _certificate_cases(paper_channel):
+    """The bundled channel's rates 0.05...0.45 and the A5 corpus."""
     cases = [(*paper_channel, float(r)) for r in np.arange(0.05, 0.46, 0.05)]
     rng = np.random.default_rng(77)  # the A5 corpus draws
     for _ in range(20):
@@ -355,7 +407,14 @@ def test_cc_dual_duality_gap_certificate(paper_channel):
                       float(rng.uniform(0.2, 0.8) * mi) if mi > 1e-6 else 0.01))
     ch, p = paper_channel
     cases += [(ch, p, f * mutual_information(p, ch)) for f in (0.3, 0.6)]
-    for ch, p, r in cases:
+    return cases
+
+
+def test_cc_dual_duality_gap_certificate(paper_channel):
+    """The primal objective at the returned tilted channel meets the
+    dual value within 1e-12 at the bundled channel's 9 rates and on the
+    A5 corpus."""
+    for ch, p, r in _certificate_cases(paper_channel):
         gap = er_cc_dual(ch, p, r).diagnostics["duality_gap"]
         assert abs(gap) <= 1e-12, f"R={r:.4f}: duality gap {gap:.2e}"
 
