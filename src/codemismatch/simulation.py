@@ -52,6 +52,7 @@ PROBE_NM_CAP = 10    # independence_probe cell tables
 TRIPLE_BITS_CAP = 24 # 3*nm above this skips the triple cell table
 UNION_K_CAP = 8
 UNION_NM_CAP = 20    # 2^nm sequence-score table
+BLOCK_ELEMENTS = 1 << 17  # (trials, 2^k, n) entries per run_trials block
 
 _SeedLike = Union[int, Sequence[int]]
 
@@ -148,18 +149,55 @@ class LinearCodeInstance:
         return self.n * self.m
 
     @cached_property
-    def message_bits(self) -> np.ndarray:
-        """(2^k, k) MSB-first expansions b(w) of every message index."""
-        w = np.arange(2 ** self.k, dtype=np.int64)
-        shifts = np.arange(self.k - 1, -1, -1)
-        return _readonly(((w[:, None] >> shifts[None, :]) & 1).astype(np.uint8))
-
-    @cached_property
     def codewords(self) -> np.ndarray:
-        """(2^k, nm) table of c(w) = b(w) G xor v."""
-        cw = (self.message_bits.astype(np.int64) @ self.g.astype(np.int64)
-              + self.v.astype(np.int64)) % 2
-        return _readonly(cw.astype(np.uint8))
+        """(2^k, nm) table of c(w) = b(w) G xor v: its 1-bit symbols."""
+        cw = _codeword_ints(self.g, self.v)
+        return _readonly(_symbols(cw, self.nm, 1).astype(np.uint8))
+
+
+def _codeword_ints(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(..., k, nm) bits of G and (..., nm) of v to the (..., 2^k) int64
+    c(w), position 0 most significant, doubling over G's rows from the
+    last, which is the least significant bit of w."""
+    k, nm = g.shape[-2:]
+    if nm > 63:
+        raise SizeCapError(f"n*m = {nm} exceeds the 63 bits of an int64")
+    pw = np.left_shift(1, np.arange(nm - 1, -1, -1, dtype=np.int64))
+    rows = g.astype(np.int64) @ pw
+    cw = np.empty(v.shape[:-1] + (1 << k,), dtype=np.int64)
+    cw[..., 0] = v.astype(np.int64) @ pw
+    for j in range(k):
+        cw[..., 1 << j:2 << j] = cw[..., :1 << j] ^ rows[..., k - 1 - j, None]
+    return cw
+
+
+def _symbols(cw: np.ndarray, n: int, m: int) -> np.ndarray:
+    """(..., 2^k) packed codewords to (..., 2^k, n) natural-labeling symbols."""
+    shifts = m * np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (cw[..., None] >> shifts) & ((1 << m) - 1)
+
+
+def _code_symbols(code: LinearCodeInstance, labeling: Labeling) -> np.ndarray:
+    if labeling.m != code.m:
+        raise ChannelSpecError(
+            f"labeling is for m={labeling.m} bits, code has m={code.m}")
+    return _symbols(_codeword_ints(code.g, code.v), code.n, code.m)
+
+
+def _draw_code(seed: _SeedLike, k: int, nm: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 2, size=(k, nm), dtype=np.uint8),
+            rng.integers(0, 2, size=nm, dtype=np.uint8))
+
+
+def _check_code_params(params: CodeParams) -> None:
+    if params.nm > NM_CAP:
+        raise SizeCapError(f"n*m = {params.nm} exceeds cap {NM_CAP}")
+    if params.k > K_CAP:
+        raise SizeCapError(f"k = {params.k} exceeds cap {K_CAP}")
+    if not params.k_integral:
+        warnings.warn(f"n*m*r_fec = {params.nm * params.r_fec:g} is not "
+                      f"integral; rounding k to {params.k}", RuntimeWarning)
 
 
 def sample_code(n: int, m: int, r_fec: float, seed: _SeedLike,
@@ -173,17 +211,8 @@ def sample_code(n: int, m: int, r_fec: float, seed: _SeedLike,
     check coset invariance of ensemble statistics.
     """
     params = CodeParams(n=n, m=m, r_fec=r_fec)
-    if params.nm > NM_CAP:
-        raise SizeCapError(f"n*m = {params.nm} exceeds cap {NM_CAP}")
-    if params.k > K_CAP:
-        raise SizeCapError(f"k = {params.k} exceeds cap {K_CAP}")
-    if not params.k_integral:
-        warnings.warn(
-            f"n*m*r_fec = {params.nm * r_fec:g} is not integral; "
-            f"rounding k to {params.k}", RuntimeWarning)
-    rng = np.random.default_rng(seed)
-    g = rng.integers(0, 2, size=(params.k, params.nm), dtype=np.uint8)
-    v = rng.integers(0, 2, size=params.nm, dtype=np.uint8)
+    _check_code_params(params)
+    g, v = _draw_code(seed, params.k, params.nm)
     if xor_offset is not None:
         off = np.asarray(xor_offset, dtype=np.uint8)
         if off.shape != (params.nm,):
@@ -224,6 +253,21 @@ def composition_counts(p: InputDist, n: int) -> np.ndarray:
     return counts
 
 
+def _composition(p: InputDist, n: int, m: int) -> tuple:
+    """counts = n*P_X, and symbol weights summing to target over a word
+    exactly when its histogram is counts: a base-(n+1) digit per symbol of
+    positive count, one shared by the rest; no carries, < 2^64 for nm <= 63."""
+    counts = composition_counts(p, n)
+    if len(p.p) < 2 ** m:
+        raise ChannelSpecError(
+            f"input distribution covers {len(p.p)} symbols, labeling "
+            f"needs {2 ** m}")
+    own = counts[:1 << m] > 0
+    rank = np.where(own, np.cumsum(own) - 1, own.sum())
+    weights = np.uint64(n + 1) ** rank.astype(np.uint64)
+    return counts, weights, (counts[:1 << m].astype(np.uint64) * weights).sum()
+
+
 def select_subcode(code: LinearCodeInstance, labeling: Labeling,
                    p: InputDist) -> SubcodeSelection:
     """Keep exactly the codewords whose symbol histogram matches n*P_X.
@@ -231,32 +275,32 @@ def select_subcode(code: LinearCodeInstance, labeling: Labeling,
     An empty selection is a legitimate outcome for an unlucky (G, v)
     draw; it is reported with effective_rate -inf, never resampled here.
     """
-    if labeling.m != code.m:
-        raise ChannelSpecError(
-            f"labeling is for m={labeling.m} bits, code has m={code.m}")
-    counts = composition_counts(p, code.n)
-    if len(p.p) < 2 ** code.m:
-        raise ChannelSpecError(
-            f"input distribution covers {len(p.p)} symbols, labeling "
-            f"needs {2 ** code.m}")
-    symbols = labeling.apply(code.codewords)
-    ok = np.ones(symbols.shape[0], dtype=bool)
-    # symbols >= 2^m never occur, so a composition demanding them kills
-    # the whole selection; iterate the full alphabet to catch that
-    for s in range(len(counts)):
-        ok &= (symbols == s).sum(axis=1) == counts[s]
-    members = np.flatnonzero(ok)
+    counts, weights, target = _composition(p, code.n, code.m)
+    sym = _code_symbols(code, labeling)
+    members = np.flatnonzero(np.take(weights, sym).sum(axis=-1) == target)
     eff = math.log2(len(members)) / code.n if len(members) else -math.inf
     return SubcodeSelection(composition=counts, member_indices=members,
                             effective_rate=eff)
 
 
-def _log_scores(code: LinearCodeInstance, labeling: Labeling,
-                u: DecodingMetric, y: np.ndarray) -> np.ndarray:
-    symbols = labeling.apply(code.codewords)
+def _log_metric(u: DecodingMetric, m: int) -> np.ndarray:
+    if u.u.shape[0] < 2 ** m:
+        raise ChannelSpecError(
+            f"metric covers {u.u.shape[0]} inputs, labeling needs {2 ** m}")
     with np.errstate(divide="ignore"):
-        log_u = np.log(u.u)
-    return log_u[symbols, np.asarray(y)[None, :]].sum(axis=1)
+        return np.log(u.u)
+
+
+def _rank(sym: np.ndarray, log_u: np.ndarray, y: np.ndarray) -> tuple:
+    """First argmax and tie count of the additive scores of (B, 2^k, n)
+    codeword symbols against (B, n) outputs; one row sum per codeword."""
+    scores = log_u[sym, y[:, None, :]].sum(axis=-1)
+    best = scores.max(axis=-1, keepdims=True)
+    if np.any(best == -math.inf):
+        raise AllZeroScoreError(
+            "every codeword hits a zero-metric position for this output")
+    top = scores == best
+    return top.argmax(axis=-1), top.sum(axis=-1)
 
 
 def decode(code: LinearCodeInstance, labeling: Labeling, u: DecodingMetric,
@@ -269,16 +313,9 @@ def decode(code: LinearCodeInstance, labeling: Labeling, u: DecodingMetric,
     y = np.asarray(y, dtype=np.int64)
     if y.ndim != 1 or y.shape[0] != code.n:
         raise ChannelSpecError(f"y has shape {y.shape}, expected ({code.n},)")
-    if u.u.shape[0] < 2 ** code.m:
-        raise ChannelSpecError(
-            f"metric covers {u.u.shape[0]} inputs, labeling needs {2 ** code.m}")
-    scores = _log_scores(code, labeling, u, y)
-    best = scores.max()
-    if best == -math.inf:
-        raise AllZeroScoreError(
-            "every codeword hits a zero-metric position for this output")
-    ties = int((scores == best).sum())
-    return int(np.argmax(scores)), ties > 1
+    w_hat, ties = _rank(_code_symbols(code, labeling)[None],
+                        _log_metric(u, code.m), y[None])
+    return int(w_hat[0]), bool(ties[0] > 1)
 
 
 @dataclass(frozen=True)
@@ -304,12 +341,20 @@ class TrialReport:
     def error_rate(self) -> float:
         return self.errors / self.decoded_trials if self.decoded_trials else math.nan
 
+    @property
+    def wilson_interval(self) -> tuple:
+        """95% Wilson score interval (Wilson 1927) around error_rate, or NaNs."""
+        d, e, z = self.decoded_trials, self.errors, 1.959963984540054
+        if not d:
+            return (math.nan, math.nan)
+        mid = (e + z * z / 2) / (d + z * z)
+        half = z * math.sqrt(e * (d - e) / d + z * z / 4) / (d + z * z)
+        return (max(0.0, mid - half), min(1.0, mid + half))
 
-def _sample_outputs(ch: Dmc, x_idx: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
+
+def _sample_outputs(ch: Dmc, x_idx: np.ndarray, unif: np.ndarray) -> np.ndarray:
     cum = np.cumsum(ch.w, axis=1)
-    unif = rng.random(len(x_idx))
-    idx = (cum[x_idx] < unif[:, None]).sum(axis=1)
+    idx = (cum[x_idx] < unif[..., None]).sum(axis=-1)
     # row sums are 1 only within tolerance; clip the residual sliver
     return np.minimum(idx, ch.output_size - 1)
 
@@ -320,45 +365,41 @@ def run_trials(ch: Dmc, p: InputDist, code_params: CodeParams,
 
     Per trial t: a fresh code from seed (master_seed, t, 0); the message
     index and channel noise from (master_seed, t, 1), drawn in that
-    order. The message is uniform over the subcode members; the decoder
-    sees the full code.
+    order and only when the subcode is not empty. The message is uniform
+    over the subcode members; the decoder sees the full code. The draws
+    stay per trial; all else runs on blocks of about BLOCK_ELEMENTS symbols.
     """
     if trials < 1:
         raise ChannelSpecError(f"trials = {trials}, need >= 1")
-    if code_params.nm > NM_CAP:
-        raise SizeCapError(f"n*m = {code_params.nm} exceeds cap {NM_CAP}")
-    if code_params.k > K_CAP:
-        raise SizeCapError(f"k = {code_params.k} exceeds cap {K_CAP}")
-    if 2 ** code_params.m > ch.input_size:
+    n, m, k, nm = code_params.n, code_params.m, code_params.k, code_params.nm
+    _check_code_params(code_params)
+    if 2 ** m > ch.input_size:
         raise ChannelSpecError(
-            f"m = {code_params.m} needs {2 ** code_params.m} input symbols, "
-            f"channel has {ch.input_size}")
-    labeling = Labeling(m=code_params.m)
-    composition_counts(p, code_params.n)
+            f"m = {m} needs {2 ** m} input symbols, channel has {ch.input_size}")
+    _, weights, target = _composition(p, n, m)
+    log_u = _log_metric(u, m)
 
-    errors = 0
-    tie_errors = 0
-    empty = 0
-    seeds = []
-    for t in range(trials):
-        code_seed = (master_seed, t, 0)
-        seeds.append(code_seed)
-        code = sample_code(code_params.n, code_params.m, code_params.r_fec,
-                           seed=code_seed)
-        sel = select_subcode(code, labeling, p)
-        if sel.size == 0:
-            empty += 1
-            continue
-        rng = np.random.default_rng((master_seed, t, 1))
-        w = int(sel.member_indices[rng.integers(sel.size)])
-        x_sym = labeling.apply(code.codewords[w])
-        y = _sample_outputs(ch, x_sym, rng)
-        w_hat, tie = decode(code, labeling, u, y)
-        if tie:
-            errors += 1
-            tie_errors += 1
-        elif w_hat != w:
-            errors += 1
+    errors = tie_errors = empty = 0
+    block = max(1, BLOCK_ELEMENTS // ((1 << k) * n))
+    for t0 in range(0, trials, block):
+        b = min(block, trials - t0)
+        g, v = zip(*(_draw_code((master_seed, t, 0), k, nm)
+                     for t in range(t0, t0 + b)))
+        sym = _symbols(_codeword_ints(np.stack(g), np.stack(v)), n, m)
+        ok = np.take(weights, sym).sum(axis=-1) == target
+        size = ok.sum(axis=1)
+        live = np.flatnonzero(size)
+        empty += b - live.size
+        rngs = [np.random.default_rng((master_seed, t0 + int(i), 1)) for i in live]
+        pick = np.array([r.integers(int(size[i])) for r, i in zip(rngs, live)])
+        unif = np.array([r.random(n) for r in rngs]).reshape(-1, n)
+        sym, ok = sym[live], ok[live]
+        # the pick-th member is preceded by exactly pick members
+        sent = (np.cumsum(ok, axis=1) <= pick[:, None]).sum(axis=1)
+        y = _sample_outputs(ch, sym[np.arange(live.size), sent], unif)
+        w_hat, ties = _rank(sym, log_u, y)
+        tie_errors += int((ties > 1).sum())
+        errors += int(((ties > 1) | (w_hat != sent)).sum())
 
     decoded = trials - empty
     dominated = empty > trials // 2
@@ -374,7 +415,8 @@ def run_trials(ch: Dmc, p: InputDist, code_params: CodeParams,
                        empty_subcode_trials=empty, errors=errors,
                        tie_errors=tie_errors, empirical_log2_pe=log2_pe,
                        master_seed=master_seed,
-                       per_trial_seeds=tuple(seeds),
+                       per_trial_seeds=tuple((master_seed, t, 0)
+                                             for t in range(trials)),
                        empty_dominated=dominated)
 
 
@@ -397,12 +439,6 @@ class IndependenceReport:
     triple_vacuous: bool
     triple_skipped: Optional[str] = None
     zero_offset: bool = False
-
-
-def _bit_pack(bits: np.ndarray) -> np.ndarray:
-    nm = bits.shape[-1]
-    pw = (1 << np.arange(nm - 1, -1, -1)).astype(np.int64)
-    return bits.astype(np.int64) @ pw
 
 
 def independence_probe(code_params: CodeParams, samples: int,
@@ -433,9 +469,6 @@ def independence_probe(code_params: CodeParams, samples: int,
                           f"{TRIPLE_BITS_CAP}")
         triple = None
 
-    b_of = {w: _msb_bits(w, k).astype(np.int64) for w in
-            set(singles) | set(pair or ()) | set(triple or ())}
-
     single_counts = {w: np.zeros(2 ** nm, dtype=np.int64) for w in singles}
     pair_counts = (np.zeros(2 ** (2 * nm), dtype=np.int64)
                    if pair is not None else None)
@@ -451,19 +484,16 @@ def independence_probe(code_params: CodeParams, samples: int,
         v = rng.integers(0, 2, size=(b, nm), dtype=np.uint8)
         if zero_offset:
             v = np.zeros_like(v)
-        idx = {}
-        for w in b_of:
-            cw = (np.einsum("j,bjn->bn", b_of[w], g.astype(np.int64)) +
-                  v.astype(np.int64)) % 2
-            idx[w] = _bit_pack(cw)
+        # the last two rows of G are the low bits of w: c(0), ..., c(3)
+        idx = _codeword_ints(g[:, -2:], v)
         for w in singles:
-            single_counts[w] += np.bincount(idx[w], minlength=2 ** nm)
+            single_counts[w] += np.bincount(idx[:, w], minlength=2 ** nm)
         if pair is not None:
-            pi = idx[pair[0]] * (2 ** nm) + idx[pair[1]]
+            pi = idx[:, pair[0]] * (2 ** nm) + idx[:, pair[1]]
             pair_counts += np.bincount(pi, minlength=2 ** (2 * nm))
         if triple is not None:
-            ti = ((idx[triple[0]] * (2 ** nm) + idx[triple[1]]) * (2 ** nm)
-                  + idx[triple[2]])
+            ti = ((idx[:, triple[0]] * (2 ** nm) + idx[:, triple[1]])
+                  * (2 ** nm) + idx[:, triple[2]])
             triple_counts += np.bincount(ti, minlength=2 ** (3 * nm))
         done += b
 
@@ -564,7 +594,7 @@ def union_bound_probe(ch: Dmc, p: InputDist, code_params: CodeParams,
     results = []
     for _ in range(n_pairs):
         x_sym = pair_rng.choice(nx, size=n, p=p.p)
-        y = _sample_outputs(ch, x_sym, pair_rng)
+        y = _sample_outputs(ch, x_sym, pair_rng.random(n))
         table = _sequence_score_table(log_u, y)
         s0 = table[int(x_sym @ seq_pow)]
         if s0 == -math.inf:

@@ -1,17 +1,22 @@
 """Linear code ensemble, subcode selection, decoding, and probes."""
 
+import contextlib
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from codemismatch import (AllZeroScoreError, ChannelSpecError, CodeParams,
                           CompositionError, DecodingMetric, Dmc, InputDist,
                           Labeling, LinearCodeInstance, SizeCapError,
-                          composition_counts, decode, independence_probe,
-                          map_metric, ml_metric, run_trials, sample_code,
-                          select_subcode, union_bound_probe)
+                          TrialReport, composition_counts, decode,
+                          independence_probe, map_metric, ml_metric,
+                          run_trials, sample_code, select_subcode,
+                          union_bound_probe)
+from codemismatch import simulation
 
 UNIFORM2 = InputDist(p=np.array([0.5, 0.5]))
 IDENTITY2 = Dmc(input_size=2, output_size=2, w=np.eye(2))
@@ -206,6 +211,13 @@ def test_decode_validates_shapes():
         decode(code, Labeling(m=2), u2, np.array([0, 1, 0, 1]))
 
 
+def test_decode_rejects_mismatched_labeling():
+    code = sample_code(4, 2, 0.5, seed=0)
+    u4 = DecodingMetric(u=np.full((4, 4), 0.25))
+    with pytest.raises(ChannelSpecError, match="labeling"):
+        decode(code, Labeling(m=1), u4, np.array([0, 1, 2, 3]))
+
+
 def test_run_trials_replays_from_master_seed(paper_channel):
     ch, _ = paper_channel
     p = InputDist(p=np.array([0.25, 0.25, 0.25, 0.25]))
@@ -250,6 +262,224 @@ def test_run_trials_flags_empty_domination():
                          trials=40, master_seed=2)
     assert rep.empty_dominated
     assert rep.empty_subcode_trials > 20
+
+
+def _per_trial_oracle(ch, p, cp, u, trials, master_seed):
+    """run_trials spelled out one trial at a time through the public
+    per-code functions, with the documented seed contract."""
+    lab = Labeling(m=cp.m)
+    cum = np.cumsum(ch.w, axis=1)
+    errors = ties = empty = 0
+    for t in range(trials):
+        code = sample_code(cp.n, cp.m, cp.r_fec, seed=(master_seed, t, 0))
+        sel = select_subcode(code, lab, p)
+        if sel.size == 0:
+            empty += 1
+            continue
+        rng = np.random.default_rng((master_seed, t, 1))
+        w = int(sel.member_indices[rng.integers(sel.size)])
+        x = lab.apply(code.codewords[w])
+        y = np.minimum((cum[x] < rng.random(cp.n)[:, None]).sum(axis=1),
+                       ch.output_size - 1)
+        w_hat, tie = decode(code, lab, u, y)
+        errors += int(tie or w_hat != w)
+        ties += int(tie)
+    decoded = trials - empty
+    return TrialReport(
+        trials=trials, decoded_trials=decoded, empty_subcode_trials=empty,
+        errors=errors, tie_errors=ties,
+        empirical_log2_pe=(-math.log2(errors / decoded) if decoded and errors
+                           else math.inf),
+        master_seed=master_seed,
+        per_trial_seeds=tuple((master_seed, t, 0) for t in range(trials)),
+        empty_dominated=empty > trials // 2)
+
+
+BSC002 = Dmc(input_size=2, output_size=2,
+             w=np.array([[0.998, 0.002], [0.002, 0.998]]))
+SHAPED4 = Dmc(input_size=4, output_size=4,
+              w=np.full((4, 4), 1.0 / 64) + np.eye(4) * (60.0 / 64))
+P1331 = InputDist(p=np.array([1, 3, 3, 1]) / 8)
+SKEWED4 = Dmc(input_size=4, output_size=4,
+              w=np.full((4, 4), 0.1) + np.eye(4) * 0.6)
+P_EMPTY = InputDist(p=np.array([0.5, 0.25, 0.125, 0.125]))
+
+# (channel, input, code, metric, trials, trials per block or None)
+BATCH_CASES = {
+    "k6": (BSC002, UNIFORM2, CodeParams(12, 1, 0.5), ml_metric(BSC002),
+           500, None),
+    "k12": (SHAPED4, P1331, CodeParams(8, 2, 0.75), map_metric(P1331, SHAPED4),
+            10, None),
+    "all_ties": (IDENTITY2, UNIFORM2, CodeParams(4, 1, 0.5),
+                 ml_metric(IDENTITY2), 300, None),
+    "mostly_empty": (SKEWED4, P_EMPTY, CodeParams(8, 2, 0.25),
+                     ml_metric(SKEWED4), 60, None),
+    "ragged_blocks": (SHAPED4, P1331, CodeParams(8, 2, 0.5),
+                      map_metric(P1331, SHAPED4), 23, 5),
+    "k0": (BSC002, UNIFORM2, CodeParams(4, 1, 0.1), ml_metric(BSC002),
+           40, None),
+}
+
+
+# the RuntimeWarnings a case must raise, as a pattern for pytest.warns
+BATCH_WARNINGS = {"mostly_empty": "empty subcodes",
+                  "k0": "not integral|empty subcodes"}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+@pytest.mark.parametrize("master_seed", [3, 20261021])
+def test_run_trials_matches_per_trial_oracle(case, master_seed, monkeypatch):
+    ch, p, cp, u, trials, block = BATCH_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(simulation, "BLOCK_ELEMENTS",
+                            block * 2 ** cp.k * cp.n)
+    per_block = simulation.BLOCK_ELEMENTS // (2 ** cp.k * cp.n)
+    expect = BATCH_WARNINGS.get(case)
+    with (pytest.warns(RuntimeWarning, match=expect) if expect
+          else contextlib.nullcontext()) as seen:
+        got = run_trials(ch, p, cp, u, trials=trials, master_seed=master_seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = _per_trial_oracle(ch, p, cp, u, trials, master_seed)
+    assert got == want
+    assert got.decoded_trials > 0
+    if case == "all_ties":
+        assert got.errors == got.tie_errors > 0
+    if case == "mostly_empty":
+        assert got.empty_dominated
+    if case == "ragged_blocks":
+        assert trials > per_block and trials % per_block
+    if case == "k0":
+        assert cp.k == 0
+        assert any("not integral" in str(w.message) for w in seen)
+
+
+@pytest.mark.parametrize("k,nm", [(0, 5), (1, 1), (3, 8), (6, 12), (5, 63)])
+def test_codeword_ints_matches_naive_gf2_product(k, nm):
+    rng = np.random.default_rng(k * 100 + nm)
+    g = rng.integers(0, 2, size=(7, k, nm), dtype=np.uint8)
+    v = rng.integers(0, 2, size=(7, nm), dtype=np.uint8)
+    got = simulation._codeword_ints(g, v)
+    assert got.shape == (7, 2 ** k) and got.dtype == np.int64
+    for b in range(7):
+        for w in range(2 ** k):
+            msg = np.array([(w >> (k - 1 - j)) & 1 for j in range(k)],
+                           dtype=np.int64)
+            bits = (msg @ g[b].astype(np.int64) + v[b]) % 2
+            assert int(got[b, w]) == int("".join(map(str, bits)), 2)
+    single = simulation._codeword_ints(g[0], v[0])
+    assert np.array_equal(single, got[0])
+
+
+def test_codeword_ints_refuses_more_than_63_bits():
+    with pytest.raises(SizeCapError, match="63"):
+        simulation._codeword_ints(np.zeros((1, 64), dtype=np.uint8),
+                                  np.zeros(64, dtype=np.uint8))
+
+
+def test_run_trials_raises_when_every_codeword_scores_zero():
+    """The identity metric on a noisy BSC gives some output a zero score
+    against every codeword; that is an error, not a silent tie."""
+    bsc = Dmc(input_size=2, output_size=2,
+              w=np.array([[0.9, 0.1], [0.1, 0.9]]))
+    with pytest.raises(AllZeroScoreError):
+        run_trials(bsc, UNIFORM2, CodeParams(4, 1, 0.5),
+                   DecodingMetric(u=np.eye(2), name="identity"),
+                   trials=50, master_seed=1)
+
+
+def test_run_trials_warns_on_non_integral_k():
+    with pytest.warns(RuntimeWarning, match="not integral"):
+        rep = run_trials(BSC002, UNIFORM2, CodeParams(6, 1, 0.25),
+                         ml_metric(BSC002), trials=20, master_seed=4)
+    assert rep.trials == 20
+
+
+def test_run_trials_rejects_narrow_metric_up_front(paper_channel):
+    """A metric with fewer than 2^m rows is refused before any trial,
+    even when no trial would reach the decoder."""
+    ch, _ = paper_channel
+    point = InputDist(p=np.array([0.0, 0.0, 0.0, 1.0]))
+    narrow = DecodingMetric(u=np.full((2, 4), 0.5))
+    with pytest.raises(ChannelSpecError, match="metric covers"):
+        run_trials(ch, point, CodeParams(4, 2, 0.5), narrow, trials=5,
+                   master_seed=0)
+
+
+def _report(decoded, errors):
+    return TrialReport(trials=decoded, decoded_trials=decoded,
+                       empty_subcode_trials=0, errors=errors, tie_errors=0,
+                       empirical_log2_pe=math.inf, master_seed=0)
+
+
+def test_wilson_interval_edges_and_published_values():
+    # Newcombe (1998), Stat. Med. 17:857, Table I, method 3
+    lo, hi = _report(263, 81).wilson_interval
+    assert lo == pytest.approx(0.2553, abs=5e-5)
+    assert hi == pytest.approx(0.3662, abs=5e-5)
+    lo, hi = _report(20, 0).wilson_interval
+    assert lo == 0.0 and hi == pytest.approx(0.1611, abs=5e-5)
+    z2 = 1.959963984540054 ** 2
+    assert hi == pytest.approx(z2 / (20 + z2), rel=1e-12)
+    lo, hi = _report(20, 20).wilson_interval
+    assert hi == 1.0 and lo == pytest.approx(20 / (20 + z2), rel=1e-12)
+    assert all(math.isnan(x) for x in _report(0, 0).wilson_interval)
+
+
+def test_wilson_interval_brackets_a_simulated_error_rate():
+    rep = run_trials(IDENTITY2, UNIFORM2, CodeParams(4, 1, 0.5),
+                     ml_metric(IDENTITY2), trials=300, master_seed=1)
+    lo, hi = rep.wilson_interval
+    assert 0.0 < lo < rep.error_rate < hi < 1.0
+    assert "wilson_interval" not in dataclasses.asdict(rep)
+
+
+def _einsum_probe_pvalues(cp, samples, master_seed):
+    """The probe's p-values from full message-bit einsums over G."""
+    nm, k = cp.nm, cp.k
+    singles = [0, 1] if k >= 1 else [0]
+    pair = (1, 2) if k >= 2 else ((0, 1) if k == 1 else None)
+    triple = (1, 2, 3) if k >= 2 and 3 * nm <= 24 else None
+    used = set(singles) | set(pair or ()) | set(triple or ())
+    b_of = {w: np.array([(w >> (k - 1 - j)) & 1 for j in range(k)],
+                        dtype=np.int64) for w in used}
+    pw = (1 << np.arange(nm - 1, -1, -1)).astype(np.int64)
+    rng = np.random.default_rng(master_seed)
+    g = rng.integers(0, 2, size=(samples, k, nm), dtype=np.uint8)
+    v = rng.integers(0, 2, size=(samples, nm), dtype=np.uint8)
+    idx = {w: ((np.einsum("j,bjn->bn", b_of[w], g.astype(np.int64))
+                + v.astype(np.int64)) % 2) @ pw for w in used}
+
+    def pval(cells, size):
+        counts = np.bincount(cells, minlength=size)
+        if counts.min() == counts.max():
+            return float(chisquare(counts).pvalue) if counts.max() else 1.0
+        return float(chisquare(counts).pvalue)
+
+    single_p = {w: pval(idx[w], 2 ** nm) for w in singles}
+    pair_p = (pval(idx[pair[0]] * 2 ** nm + idx[pair[1]], 4 ** nm)
+              if pair else None)
+    triple_p = (pval((idx[1] * 2 ** nm + idx[2]) * 2 ** nm + idx[3], 8 ** nm)
+                if triple else None)
+    return single_p, pair_p, triple_p
+
+
+@pytest.mark.parametrize("cp,samples", [(CodeParams(4, 1, 0.5), 20000),
+                                        (CodeParams(10, 1, 1.0), 3000)])
+def test_independence_probe_matches_einsum_construction(cp, samples,
+                                                        monkeypatch):
+    kernel = simulation._codeword_ints
+
+    def at_most_two_rows(g, v):
+        assert g.shape[-2] <= 2   # never a (samples, 2^k) table
+        return kernel(g, v)
+
+    monkeypatch.setattr(simulation, "_codeword_ints", at_most_two_rows)
+    rep = independence_probe(cp, samples, master_seed=11)
+    single_p, pair_p, triple_p = _einsum_probe_pvalues(cp, samples, 11)
+    assert rep.single_p == single_p
+    assert rep.pair_p == pair_p
+    assert rep.triple_p == triple_p
 
 
 def test_independence_probe_uniformity_holds():
