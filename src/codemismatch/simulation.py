@@ -23,7 +23,7 @@ from functools import cached_property, reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import chisquare
+from scipy.special import chdtrc
 
 from .channel import DecodingMetric, Dmc, InputDist
 from .errors import (AllZeroScoreError, ChannelSpecError, CompositionError,
@@ -60,11 +60,6 @@ _SeedLike = Union[int, Sequence[int]]
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _msb_bits(w: int, width: int) -> np.ndarray:
-    return np.array([(w >> (width - 1 - j)) & 1 for j in range(width)],
-                    dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -498,11 +493,13 @@ def independence_probe(code_params: CodeParams, samples: int,
         done += b
 
     def pval(counts: np.ndarray) -> float:
+        """Pearson's statistic against the uniform table and its chi-square
+        survival function, the same operations as scipy.stats.chisquare."""
         if counts.min() == counts.max():
-            # constant table: either perfectly uniform counts (p = 1) or
-            # chisquare would divide by the common value anyway
-            return float(chisquare(counts).pvalue) if counts.max() else 1.0
-        return float(chisquare(counts).pvalue)
+            return 1.0   # statistic 0; an all-zero table would divide by 0
+        f = counts.astype(np.float64)
+        e = f.mean(keepdims=True)
+        return float(chdtrc(f.size - 1, ((f - e) ** 2 / e).sum()))
 
     single_p = {w: pval(c) for w, c in single_counts.items()}
     pair_p = pval(pair_counts) if pair is not None else None
@@ -575,10 +572,8 @@ def union_bound_probe(ch: Dmc, p: InputDist, code_params: CodeParams,
         raise ChannelSpecError("trials must be >= 1")
 
     nx = ch.input_size
-    labeling = Labeling(m=m)
     with np.errstate(divide="ignore"):
         log_u = np.log(u.u)
-    b_nz = np.stack([_msb_bits(w, k) for w in range(1, 2 ** k)]).astype(np.int64)
     seq_pow = (nx ** np.arange(n - 1, -1, -1)).astype(np.int64)
 
     exact = 2 ** (k * nm) <= exact_limit
@@ -586,9 +581,9 @@ def union_bound_probe(ch: Dmc, p: InputDist, code_params: CodeParams,
 
     def union_over_g(g_bits: np.ndarray, x_bits: np.ndarray,
                      member: np.ndarray) -> np.ndarray:
-        cw = (np.einsum("wj,bjn->bwn", b_nz, g_bits) + x_bits[None, None, :]) % 2
-        sym = labeling.apply(cw)
-        seq_idx = sym @ seq_pow
+        v = np.broadcast_to(x_bits, (len(g_bits), nm))
+        competitors = _codeword_ints(g_bits, v)[..., 1:]
+        seq_idx = _symbols(competitors, n, m) @ seq_pow
         return member[seq_idx].any(axis=1)
 
     results = []
@@ -625,7 +620,7 @@ def union_bound_probe(ch: Dmc, p: InputDist, code_params: CodeParams,
             draws = trials
             for lo in range(0, trials, 1 << 14):
                 b = min(1 << 14, trials - lo)
-                g_bits = g_rng.integers(0, 2, size=(b, k, nm)).astype(np.int64)
+                g_bits = g_rng.integers(0, 2, size=(b, k, nm))
                 hits += int(union_over_g(g_bits, x_bits, member).sum())
             union_prob = hits / trials
             mode = "mc"

@@ -1,10 +1,15 @@
 """End-to-end command-line runs, in process via cli.main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import codemismatch
 from codemismatch import (ExponentResult, er_cc_dual, load_channel_spec,
                           mutual_information, optimal_metric, posterior)
 from codemismatch.cli import main
@@ -277,3 +282,16 @@ def test_loaded_spec_matches_library_loader(tmp_path):
     ch, p = load_channel_spec(spec)
     assert ch.w.shape == (4, 4)
     assert np.array_equal(p.p, np.full(4, 0.25))
+
+
+def test_cli_import_loads_no_scipy_stats():
+    """A fresh interpreter importing the CLI leaves scipy.stats unloaded:
+    every call would otherwise pay its import time."""
+    src = str(Path(codemismatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, codemismatch.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -434,8 +434,9 @@ def test_wilson_interval_brackets_a_simulated_error_rate():
     assert "wilson_interval" not in dataclasses.asdict(rep)
 
 
-def _einsum_probe_pvalues(cp, samples, master_seed):
-    """The probe's p-values from full message-bit einsums over G."""
+def _einsum_probe_counts(cp, samples, master_seed, zero_offset=False):
+    """The probe's cell tables from full message-bit einsums over G:
+    (single tables by message, pair table, triple table)."""
     nm, k = cp.nm, cp.k
     singles = [0, 1] if k >= 1 else [0]
     pair = (1, 2) if k >= 2 else ((0, 1) if k == 1 else None)
@@ -447,21 +448,29 @@ def _einsum_probe_pvalues(cp, samples, master_seed):
     rng = np.random.default_rng(master_seed)
     g = rng.integers(0, 2, size=(samples, k, nm), dtype=np.uint8)
     v = rng.integers(0, 2, size=(samples, nm), dtype=np.uint8)
+    if zero_offset:
+        v = np.zeros_like(v)
     idx = {w: ((np.einsum("j,bjn->bn", b_of[w], g.astype(np.int64))
                 + v.astype(np.int64)) % 2) @ pw for w in used}
+    singles = {w: np.bincount(idx[w], minlength=2 ** nm) for w in singles}
+    pair = (np.bincount(idx[pair[0]] * 2 ** nm + idx[pair[1]],
+                        minlength=4 ** nm) if pair else None)
+    triple = (np.bincount((idx[1] * 2 ** nm + idx[2]) * 2 ** nm + idx[3],
+                          minlength=8 ** nm) if triple else None)
+    return singles, pair, triple
 
-    def pval(cells, size):
-        counts = np.bincount(cells, minlength=size)
-        if counts.min() == counts.max():
-            return float(chisquare(counts).pvalue) if counts.max() else 1.0
-        return float(chisquare(counts).pvalue)
 
-    single_p = {w: pval(idx[w], 2 ** nm) for w in singles}
-    pair_p = (pval(idx[pair[0]] * 2 ** nm + idx[pair[1]], 4 ** nm)
-              if pair else None)
-    triple_p = (pval((idx[1] * 2 ** nm + idx[2]) * 2 ** nm + idx[3], 8 ** nm)
-                if triple else None)
-    return single_p, pair_p, triple_p
+def _oracle_pvalue(counts):
+    return float(chisquare(counts).pvalue) if counts.any() else 1.0
+
+
+def _einsum_probe_pvalues(cp, samples, master_seed, zero_offset=False):
+    """The probe's p-values from the einsum tables, by scipy's chisquare."""
+    singles, pair, triple = _einsum_probe_counts(cp, samples, master_seed,
+                                                 zero_offset)
+    return ({w: _oracle_pvalue(c) for w, c in singles.items()},
+            _oracle_pvalue(pair) if pair is not None else None,
+            _oracle_pvalue(triple) if triple is not None else None)
 
 
 @pytest.mark.parametrize("cp,samples", [(CodeParams(4, 1, 0.5), 20000),
@@ -480,6 +489,38 @@ def test_independence_probe_matches_einsum_construction(cp, samples,
     assert rep.single_p == single_p
     assert rep.pair_p == pair_p
     assert rep.triple_p == triple_p
+
+
+def test_independence_probe_pvalue_one_nonempty_cell():
+    """zero_offset pins c(0) to 0: its table has one non-empty cell."""
+    cp = CodeParams(2, 1, 0.5)
+    rep = independence_probe(cp, 40, master_seed=2, zero_offset=True)
+    singles, _, _ = _einsum_probe_counts(cp, 40, 2, zero_offset=True)
+    assert np.count_nonzero(singles[0]) == 1
+    assert 0.0 < rep.single_p[0] < 1e-12
+    assert (rep.single_p, rep.pair_p, rep.triple_p) == _einsum_probe_pvalues(
+        cp, 40, 2, zero_offset=True)
+
+
+def test_independence_probe_pvalue_2_18_cell_triple_table():
+    cp = CodeParams(6, 1, 0.5)
+    assert 3 * cp.nm == 18
+    rep = independence_probe(cp, 30000, master_seed=8)
+    _, _, triple = _einsum_probe_counts(cp, 30000, 8)
+    assert triple.size == 1 << 18
+    assert (rep.single_p, rep.pair_p, rep.triple_p) == _einsum_probe_pvalues(
+        cp, 30000, 8)
+
+
+def test_independence_probe_pvalue_constant_table():
+    """Two samples on one bit: the first seed whose c(0) table is [1, 1]."""
+    cp = CodeParams(1, 1, 1.0)
+    seed = next(s for s in range(64)
+                if _einsum_probe_counts(cp, 2, s)[0][0].tolist() == [1, 1])
+    rep = independence_probe(cp, 2, master_seed=seed)
+    assert rep.single_p[0] == 1.0 == float(chisquare([1, 1]).pvalue)
+    assert (rep.single_p, rep.pair_p, rep.triple_p) == _einsum_probe_pvalues(
+        cp, 2, seed)
 
 
 def test_independence_probe_uniformity_holds():
@@ -567,6 +608,62 @@ def test_union_probe_paper_channel_sandwich(paper_channel):
     for r in rep.pairs:
         assert r.lower_decaen <= r.union_prob <= r.upper_truncated
         assert r.alpha >= 1 / 4 ** 4  # x itself always lands in M
+
+
+def _einsum_union_pairs(ch, cp, u, rep, trials, master_seed):
+    """(|M|, union probability) per pair, the competitors built from the
+    message bits of w = 1 .. 2^k - 1 times G by einsum, XOR x, then
+    Labeling and the base-|X| sequence index."""
+    k, nm, n, m = cp.k, cp.nm, cp.n, cp.m
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u.u)
+    b_nz = np.array([[(w >> (k - 1 - j)) & 1 for j in range(k)]
+                     for w in range(1, 2 ** k)], dtype=np.int64)
+    seq_pow = ch.input_size ** np.arange(n - 1, -1, -1)
+    out = []
+    for i, r in enumerate(rep.pairs):
+        x = np.array(r.x)
+        table = simulation._sequence_score_table(log_u, np.array(r.y))
+        member = table >= table[x @ seq_pow]
+        x_bits = ((x[:, None] >> np.arange(m - 1, -1, -1)) & 1).reshape(nm)
+        if r.mode == "exact":
+            enc = np.arange(2 ** (k * nm))
+            gs = [((enc[:, None] >> np.arange(k * nm - 1, -1, -1)) & 1
+                   ).reshape(-1, k, nm)]
+        else:
+            g_rng = np.random.default_rng((master_seed, 2, i))
+            gs = [g_rng.integers(0, 2, size=(min(1 << 14, trials - lo), k, nm))
+                  for lo in range(0, trials, 1 << 14)]
+        hits = draws = 0
+        for g in gs:
+            cw = (np.einsum("wj,bjn->bwn", b_nz, g) + x_bits) % 2
+            hits += int(member[Labeling(m=m).apply(cw) @ seq_pow]
+                        .any(axis=1).sum())
+            draws += len(g)
+        out.append((int(member.sum()), hits / draws))
+    return out
+
+
+@pytest.mark.parametrize("cp,exact_limit,mode", [
+    (CodeParams(3, 2, 1 / 3), 1 << 20, "exact"),
+    (CodeParams(3, 2, 1 / 3), 1 << 8, "mc"),
+    (CodeParams(4, 1, 0.5), 1 << 20, "exact"),
+    (CodeParams(8, 1, 0.5), 1 << 20, "mc")])
+def test_union_probe_matches_einsum_construction(cp, exact_limit, mode,
+                                                 paper_channel):
+    if cp.m == 2:
+        ch, p = paper_channel
+    else:
+        ch = Dmc(input_size=2, output_size=2,
+                 w=np.array([[0.9, 0.1], [0.2, 0.8]]))
+        p = UNIFORM2
+    u = map_metric(p, ch)
+    trials = 20000   # two mc chunks of G draws
+    rep = union_bound_probe(ch, p, cp, u, trials, master_seed=5, n_pairs=3,
+                            exact_limit=exact_limit)
+    assert {r.mode for r in rep.pairs} == {mode}
+    assert [(r.m_size, r.union_prob) for r in rep.pairs] == \
+        _einsum_union_pairs(ch, cp, u, rep, trials, 5)
 
 
 def test_union_probe_caps_and_validation(paper_channel):
