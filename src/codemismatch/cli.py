@@ -66,6 +66,8 @@ def _dump_json(payload) -> str:
     return json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
 
 
+# Replacing an existing file waits ~50 ms on ext4 for the data flush that keeps
+# old-or-new contents after a crash; every cheaper variant gives that up.
 def _atomic_write(path: str, text: str) -> None:
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),

@@ -12,7 +12,10 @@ code by the additive metric U. Its dual form is a concave program
         + rho (H(P_X) - R),
 
 jointly concave in (rho, theta_hat) with theta_hat = rho * theta. The
-objective at rho = 0 is 0, which clamps the exponent at 0.
+objective at rho = 0 is 0, which clamps the exponent at 0. It is
+maximized by projected Newton on the (rho, theta_hat) box with the
+analytic 2x2 Hessian, from the best point of a coarse grid, until a step
+no longer raises the value beyond round-off.
 
 The constant-composition exponent E_r^cc(R) is the classical
 
@@ -74,6 +77,11 @@ RHO_FLOOR = 1e-9       # smallest rho searched; a maximizer on it is rho = 0
 THETA_HAT_MAX = 1e8    # upper bound of theta_hat = rho * theta
 LOG1P_MAX = 1.0        # largest -rho log U_theta summed in log1p form
 PG_TOL = 1e-6          # projected-gradient norm accepted at a maximizer
+PN_MAX_ITER = 100      # projected Newton iterations of the mismatch dual
+ARMIJO = 1e-4          # sufficient-increase fraction of a backtracking step
+ALPHA_MIN = 2.0 ** -40  # shortest backtracking step before giving up
+ROUNDOFF = 4.0 * np.finfo(float).eps  # relative round-off of a value
+LIMIT_TOL = 1e-12      # value shortfall from the theta -> infinity limit
 AM_TOL = 1e-12         # relative sup-norm change of Z that stops _e0cc
 AM_MAX_ITER = 100000
 NEWTON_MAX = 10       # Newton steps after each L-BFGS-B solve of the cc primal
@@ -240,6 +248,16 @@ class _MismatchProblem:
         self.log_u = log_u / self.scale
         self.on_support = np.isfinite(self.lnw)
         self.u_pos = np.isfinite(self.log_u)
+        # scores less their column maximum (every column has a positive
+        # score): lc is -inf where U = 0, lcz is 0 there, so its products
+        # with U_theta = 0 stay 0
+        self.lc = self.log_u - np.max(self.log_u, axis=0)
+        self.lcz = np.where(self.u_pos, self.lc, 0.0)
+        self.lcz_keep = self.lcz[self.keep]
+        # as theta -> infinity U_theta(.|y) piles onto the top scores of y;
+        # the objective then has a finite limit, which by concavity is its
+        # sup over theta at every rho, iff W's support lies on them
+        self.top_only = not np.any(self.on_support & (self.lc[self.keep] < 0))
         self.w = ch.w[self.keep]
         self.pp = p.p[self.keep]
         self.hr = p.entropy_bits - rate.rate_bits
@@ -275,25 +293,15 @@ class _MismatchProblem:
         out[~np.isfinite(out)] = -np.inf
         return out
 
-    def value_grad(self, rho: float, that: float) -> tuple[float, np.ndarray]:
-        """Objective and its gradient in (rho, theta_hat = rho*theta).
-
-        rho must be positive; theta_hat = 0 is the limit theta -> 0+.
-        With q(.|x) the softmax over y of log W - rho log U_theta:
-
-            d/d rho       = -sum_x P sum_y q H(U_theta(.|y)) / ln 2
-                            + H(P_X) - R
-            d/d theta_hat = -sum_x P sum_y q (E_{U_theta}[log U](y)
-                            - log U(x,y)) / ln 2
-        """
-        self.evals += 1
-        with np.errstate(invalid="ignore"):
-            t = np.where(self.u_pos, (that / rho) * self.log_u, -np.inf)
-            lt = t - _logsumexp(t, axis=0, keepdims=True)
-            ut = np.exp(lt)
-            e_log_u = np.where(self.u_pos, ut * self.log_u, 0.0).sum(axis=0)
-            h_tilt = -np.where(self.u_pos, ut * lt, 0.0).sum(axis=0)
-            a = np.where(self.on_support, -rho * lt[self.keep], -np.inf)
+    def _exponents(self, rho: float, that: float):
+        """The unnormalized tilt exp(theta lc), its column sums s and
+        their logs, a = -rho log U_theta = rho log s - theta_hat lc on the
+        kept rows, and per row log sum_y W e^a."""
+        theta = that / rho
+        ut = np.exp(theta * self.lc) if theta > 0.0 else self.u_pos * 1.0
+        s = ut.sum(axis=0)
+        log_s = np.log(s)
+        a = rho * log_s - that * self.lcz_keep
         if np.max(a) <= LOG1P_MAX:
             # the rows of W sum to 1, so log sum_y W e^a is
             # log1p(sum_y W expm1(a)), a sum of nonnegative terms that
@@ -301,29 +309,178 @@ class _MismatchProblem:
             inner = np.log1p((self.w * np.expm1(a)).sum(axis=1))
         else:
             inner = _logsumexp(self.lnw + a, axis=1)
+        return ut, s, log_s, a, inner
+
+    def value_at(self, rho: float, that: float) -> float:
+        """Objective at (rho, theta_hat = rho*theta), as value_grad_hess
+        computes it; rho > 0 and the metric positive on W's support."""
+        self.evals += 1
+        inner = self._exponents(rho, that)[-1]
+        return float(-(self.pp @ inner) / LN2 + rho * self.hr)
+
+    def value_grad_hess(self, rho: float, that: float):
+        """Objective, gradient and Hessian in (rho, theta_hat = rho*theta).
+
+        rho must be positive and the metric positive on W's support;
+        theta_hat = 0 is the limit theta -> 0+. Per output y let H(y),
+        E(y) and V(y) be the entropy of U_theta(.|y) and the mean and
+        variance of log U under it, and q(.|x) the softmax over y of
+        log W - rho log U_theta. The exponent -rho log U_theta has the
+        derivatives d(x,y) = (H(y), E(y) - log U(x,y)), so
+
+            gradient = -sum_x P E_q[d] / ln 2 + (H(P_X) - R, 0)
+            Hessian  = -sum_x P (Cov_q(d, d)
+                       + E_q[V] / rho [[theta^2, -theta], [-theta, 1]]) / ln 2
+        """
+        self.evals += 1
+        theta = that / rho
+        ut, s, log_s, a, inner = self._exponents(rho, that)
+        ut /= s
+        # centred on the column maximum, E <= 0 and H is a sum of two
+        # nonnegative terms, free of cancellation at large theta
+        e = (ut * self.lcz).sum(axis=0)
+        h = log_s - theta * e
+        dev = self.lcz - e
+        v = (ut * dev * dev).sum(axis=0)
         q = np.exp(self.lnw + a - inner[:, None])
-        d_that = np.where(self.on_support,
-                          e_log_u[None, :] - self.log_u[self.keep], 0.0)
-        val = -(self.pp * inner).sum() / LN2 + rho * self.hr
-        grad = np.array([
-            -(self.pp * (q @ h_tilt)).sum() / LN2 + self.hr,
-            -(self.pp * (q * d_that).sum(axis=1)).sum() / LN2])
-        return float(val), grad
+        pq = self.pp[:, None] * q
+        d_that = e - self.lcz_keep
+        c_rho = h - (q @ h)[:, None]
+        c_that = d_that - (q * d_that).sum(axis=1)[:, None]
+        grad = np.array([self.hr - (pq @ h).sum() / LN2,
+                         -(pq * d_that).sum() / LN2])
+        ev = (pq @ v).sum() / rho
+        pc = pq * c_rho
+        h01 = ev * theta - (pc * c_that).sum()
+        hess = np.array([[-(pc * c_rho).sum() - ev * theta * theta, h01],
+                         [h01, -(pq * c_that * c_that).sum() - ev]]) / LN2
+        return float(-(self.pp @ inner) / LN2 + rho * self.hr), grad, hess
+
+    def value_grad(self, rho: float, that: float) -> tuple[float, np.ndarray]:
+        """Objective and its gradient in (rho, theta_hat = rho*theta)."""
+        return self.value_grad_hess(rho, that)[:2]
+
+    def value_at_theta_inf(self, rho: float) -> float:
+        """The objective's limit as theta -> infinity at rho > 0, where
+        U_theta(.|y) is uniform on the n(y) top scores of y; requires
+        top_only (the limit is -inf otherwise)."""
+        a = rho * np.log(np.count_nonzero(self.lc == 0.0, axis=0))
+        inner = np.log((self.w * np.exp(a)).sum(axis=1))
+        return float(-(self.pp @ inner) / LN2 + rho * self.hr)
+
+
+def _ascent_direction(x, g, h, lo, hi):
+    """Projected Newton direction at x, or None where no coordinate can
+    rise (the projected gradient is zero).
+
+    A coordinate on a bound is held where the gradient, or the Newton
+    step, points out through it. The Newton system of the others is 2x2
+    or 1x1 and solved in closed form. Where it is no ascent direction
+    (the Hessian is not negative definite there in floating point), a
+    gradient step scaled per coordinate by the curvature and at most 1
+    long is taken instead.
+    """
+    held = [(x[i] <= lo[i] and g[i] <= 0.0) or (x[i] >= hi[i] and g[i] >= 0.0)
+            for i in (0, 1)]
+    while True:
+        free = [i for i in (0, 1) if not held[i]]
+        if not any(g[i] for i in free):
+            return None
+        d = [0.0, 0.0]
+        if len(free) == 2:
+            det = h[0][0] * h[1][1] - h[0][1] * h[0][1]
+            if h[0][0] < 0.0 and det > 0.0:
+                d = [(h[0][1] * g[1] - h[1][1] * g[0]) / det,
+                     (h[0][1] * g[0] - h[0][0] * g[1]) / det]
+        elif h[free[0]][free[0]] < 0.0:
+            d[free[0]] = -g[free[0]] / h[free[0]][free[0]]
+        leaving = [(x[i] <= lo[i] and d[i] < 0.0) or
+                   (x[i] >= hi[i] and d[i] > 0.0) for i in (0, 1)]
+        if not any(leaving):
+            break
+        held = [a or b for a, b in zip(held, leaving)]
+    if g[0] * d[0] + g[1] * d[1] > 0.0:
+        return d
+    return [g[i] / max(-h[i][i], abs(g[i])) if i in free and g[i] else 0.0
+            for i in (0, 1)]
+
+
+def _projected_newton(prob: _MismatchProblem, rho: float, that: float):
+    """Maximize the objective over rho in [RHO_FLOOR, 1], theta_hat in
+    [0, THETA_HAT_MAX] from (rho, that) by projected Newton (Bertsekas
+    1982): Armijo backtracking along the projected path, the value alone
+    at trial points, gradient and Hessian only at accepted ones. Stops
+    when an accepted step raises the value by no more than round-off or
+    no coordinate can rise.
+
+    Returns the point, its value and gradient (a list), the iteration
+    count and the stop reason.
+    """
+    lo, hi = (RHO_FLOOR, 0.0), (1.0, THETA_HAT_MAX)
+    x = (rho, min(that, THETA_HAT_MAX))
+    f, g, h = prob.value_grad_hess(*x)
+    for it in range(PN_MAX_ITER):
+        g = g.tolist()
+        d = _ascent_direction(x, g, h.tolist(), lo, hi)
+        if d is None:
+            return x, f, g, it, "projected gradient is zero"
+        # the value's round-off: a few ulps of the sizes of its terms
+        # -sum_x P log(...) / ln 2 and rho (H(P_X) - R)
+        noise = ROUNDOFF * (abs(f) + 2.0 * abs(x[0] * prob.hr))
+        alpha, seen = 1.0, None
+        while True:
+            if x[0] + alpha * d[0] < lo[0]:
+                # across the rho floor: onto it along the ray of constant
+                # theta. Near rho = 0 the objective is close to rho times
+                # a function of theta; a projection would keep theta_hat
+                # and throw theta = theta_hat/rho off by orders of magnitude
+                xt = (lo[0], x[1] * lo[0] / x[0])
+            else:
+                xt = tuple(min(max(xi + alpha * di, l), u)
+                           for xi, di, l, u in zip(x, d, lo, hi))
+            if xt != seen:
+                seen = xt
+                slope = g[0] * (xt[0] - x[0]) + g[1] * (xt[1] - x[1])
+                gain = prob.value_at(*xt) - f
+                if (gain >= 0.0 and gain >= ARMIJO * slope) or \
+                        (abs(slope) <= noise and gain >= -noise):
+                    break
+            alpha *= 0.5
+            if alpha < ALPHA_MIN:
+                return x, f, g, it, "no ascent along the projected path"
+        x = xt
+        f, g, h = prob.value_grad_hess(*x)
+        if gain <= noise:
+            return x, f, g.tolist(), it + 1, \
+                "value no longer rises beyond round-off"
+    return x, f, g.tolist(), PN_MAX_ITER, "iteration cap"
 
 
 def er_mismatch_dual(ch: Dmc, p: InputDist, u: DecodingMetric,
                      rate: Union[RatePoint, float]) -> ExponentResult:
-    """Mismatch exponent E_r(R, U) by one bounded gradient solve.
+    """Mismatch exponent E_r(R, U) by projected Newton on a 2-D box.
 
-    A coarse (rho, theta) grid gives the start point; L-BFGS-B with the
-    analytic gradient then maximizes the jointly concave objective over
-    rho in [RHO_FLOOR, 1] and theta_hat = rho*theta in [0, THETA_HAT_MAX],
-    theta measured on the metric's scores stretched to span at least one
-    bit (theta_star is mapped back to U's own scale). Convergence is judged
-    by the projected-gradient norm at the returned point, not by the
-    solver's own flag, which reports an ABNORMAL line search once steps
-    reach the precision floor; a norm above PG_TOL at a positive
-    exponent raises NonConvergentError.
+    A coarse (rho, theta) grid gives the start point. Projected Newton
+    with the analytic gradient and Hessian then maximizes the jointly
+    concave objective over rho in [RHO_FLOOR, 1] and theta_hat =
+    rho*theta in [0, THETA_HAT_MAX], theta measured on the metric's
+    scores stretched to span at least one bit (theta_star is mapped back
+    to U's own scale). It stops when an accepted step no longer raises
+    the value beyond round-off. Convergence is judged by the
+    projected-gradient norm at the returned point: above PG_TOL at a
+    positive exponent it raises NonConvergentError.
+
+    diagnostics: evaluations (grid points, trial values and accepted
+    points), iterations (Newton steps), message (the stop reason),
+    projected_gradient, grid_max, clamped (the maximizer is on the rho
+    floor or the value is <= 0, returned as 0 with rho_star 0),
+    theta_at_boundary (theta_hat ends on THETA_HAT_MAX) and
+    theta_unbounded. The latter is True when W's support lies on each
+    output's top scores, so the objective rises with theta toward a
+    finite limit at every rho: the sup is approached as theta -> infinity
+    and not attained, and theta_star is only where it is reached in
+    floating point. A value more than LIMIT_TOL below that limit at
+    rho_star, with theta_hat inside its bound, raises NonConvergentError.
     """
     rp = as_rate(rate)
     prob = _MismatchProblem(ch, p, u, rp)
@@ -336,36 +493,34 @@ def er_mismatch_dual(ch: Dmc, p: InputDist, u: DecodingMetric,
             "metric scores vanish on the channel support: objective is "
             "-inf at every (rho, theta)")
     i, k = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    x0 = np.array([rhos[i], rhos[i] * thetas[k]])
-    lo = np.array([RHO_FLOOR, 0.0])
-    hi = np.array([1.0, THETA_HAT_MAX])
-
-    def neg(x):
-        val, grad = prob.value_grad(x[0], x[1])
-        return -val, -grad
-
-    res = minimize(neg, x0, jac=True, method="L-BFGS-B",
-                   bounds=list(zip(lo, hi)),
-                   options={"ftol": 0.0, "gtol": 0.0, "maxiter": 500})
-    rho, that = (float(v) for v in res.x)
-    best = -float(res.fun)
+    (rho, that), best, grad, nit, message = _projected_newton(
+        prob, float(rhos[i]), float(rhos[i] * thetas[k]))
     # components pushing against an active bound do not count
-    blocked = ((res.x <= lo) & (res.jac > 0)) | ((res.x >= hi) & (res.jac < 0))
-    pg = float(np.max(np.where(blocked, 0.0, np.abs(res.jac))))
+    pg = max(0.0 if (x <= lo and gi < 0.0) or (x >= hi and gi > 0.0)
+             else abs(gi) for x, gi, lo, hi in
+             zip((rho, that), grad, (RHO_FLOOR, 0.0), (1.0, THETA_HAT_MAX)))
 
     # a maximizer on the rho floor is the rho = 0 boundary, where the
     # objective is exactly 0; its residue is round-off, not exponent
     clamped = bool(best <= 0.0 or rho <= RHO_FLOOR)
+    at_bound = bool(that >= THETA_HAT_MAX)
     if not clamped and pg > PG_TOL:
         raise NonConvergentError(
             f"mismatch dual stopped with projected gradient {pg:.3e} > "
-            f"{PG_TOL:g} ({res.message})", residual=pg, iterations=res.nit)
+            f"{PG_TOL:g} ({message})", residual=pg, iterations=nit)
+    if not clamped and prob.top_only and not at_bound:
+        short = prob.value_at_theta_inf(rho) - best
+        if short > LIMIT_TOL:
+            raise NonConvergentError(
+                f"mismatch dual stopped {short:.3e} below its theta -> "
+                f"infinity limit ({message})", residual=short, iterations=nit)
     diags = {"evaluations": prob.evals,
-             "iterations": int(res.nit),
-             "message": str(res.message),
+             "iterations": nit,
+             "message": message,
              "projected_gradient": pg,
              "grid_max": float(grid[i, k]),
-             "theta_at_boundary": bool(that >= THETA_HAT_MAX),
+             "theta_at_boundary": at_bound,
+             "theta_unbounded": bool(prob.top_only and not clamped),
              "clamped": clamped}
     if clamped:
         return ExponentResult(0.0, rho_star=0.0, theta_star=None,

@@ -9,11 +9,12 @@ from scipy.special import logsumexp, rel_entr, xlogy
 from codemismatch import (ChannelSpecError, DecodingMetric,
                           DimensionTooLargeError, Dmc, ExponentCurve,
                           FixedPoint,
-                          InputDist, MetricSupportError, RatePoint, er_cc_dual,
+                          InputDist, MetricSupportError, NonConvergentError,
+                          RatePoint, er_cc_dual,
                           er_cc_primal, er_mismatch_dual,
                           er_mismatch_primal_oracle, map_capacity_gap,
-                          map_metric, ml_metric, mutual_information, posterior,
-                          sweep_curve, tilt_metric)
+                          map_metric, ml_metric, mutual_information,
+                          optimize_metric, posterior, sweep_curve, tilt_metric)
 from codemismatch import exponents
 from codemismatch.exponents import PG_TOL, _MismatchProblem, _logsumexp, as_rate
 from conftest import random_triple
@@ -159,6 +160,134 @@ def test_mismatch_value_grad_matches_central_differences(case):
     assert val == pytest.approx(prob.value(rho, that / rho), abs=1e-13)
     np.testing.assert_allclose(grad, _central_gradient(prob, rho, that),
                                rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("case", list(_gradient_cases()))
+def test_mismatch_value_hess_matches_central_differences(case):
+    ch, p, u, r, rho, that = case
+    prob = _MismatchProblem(ch, p, u, as_rate(r))
+    val, _, hess = prob.value_grad_hess(rho, that)
+    assert prob.value_at(rho, that) == val
+    h = 1e-6
+    g = lambda q, t: prob.value_grad(q, t)[1]
+    fd = np.column_stack([(g(rho + h, that) - g(rho - h, that)) / (2 * h),
+                          (g(rho, that + h) - g(rho, that - h)) / (2 * h)])
+    np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-8)
+    assert hess[0, 1] == hess[1, 0]
+    # concave: the Hessian is negative semidefinite
+    assert hess[0, 0] <= 0.0 and hess[1, 1] <= 0.0
+    assert hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2 >= -1e-12
+
+
+def test_ascent_direction_newton_holds_and_fallback():
+    lo, hi = (1e-9, 0.0), (1.0, 1e8)
+    h = [[-2.0, 0.5], [0.5, -1.0]]
+    # interior: the Newton step solves H d = -g
+    d = exponents._ascent_direction((0.5, 1.0), [0.3, -0.2], h, lo, hi)
+    np.testing.assert_allclose(np.array(h) @ d, [-0.3, 0.2], rtol=1e-14)
+    # on rho = 1 with the gradient pushing out: rho held, 1x1 Newton
+    assert exponents._ascent_direction((1.0, 1.0), [0.3, -0.2], h, lo, hi) \
+        == [0.0, -0.2]
+    # on rho = 1 with the gradient pointing in but the 2x2 step leaving
+    # through the bound: rho held as well
+    assert exponents._ascent_direction((1.0, 1.0), [-0.1, 1.0], h, lo, hi) \
+        == [0.0, 1.0]
+    # not negative definite: a curvature-scaled gradient step, each
+    # component at most 1 long
+    d = exponents._ascent_direction((0.5, 1.0), [0.3, -4.0],
+                                    [[0.0, 0.0], [0.0, -2.0]], lo, hi)
+    assert d == [1.0, -1.0]
+    d = exponents._ascent_direction((0.5, 1.0), [0.3, -0.2],
+                                    [[-1.0, 2.0], [2.0, -1.0]], lo, hi)
+    assert d == [0.3, -0.2]
+    # every coordinate blocked, or a zero gradient: nothing can rise
+    assert exponents._ascent_direction((1e-9, 0.0), [-1.0, -1.0], h,
+                                       lo, hi) is None
+    assert exponents._ascent_direction((0.5, 1.0), [0.0, 0.0], h,
+                                       lo, hi) is None
+
+
+def _curve_calls(paper_channel):
+    """The (metric, rate) pairs of the CLI curve: ml, map and the
+    compensating metric at R = 0.05, ..., 0.45."""
+    ch, p = paper_channel
+    for r in np.arange(0.05, 0.46, 0.05):
+        r = float(r)
+        for u in (ml_metric(ch), map_metric(p, ch),
+                  optimize_metric(ch, p, r).metric):
+            yield u, r
+
+
+def test_mismatch_dual_makes_no_lbfgs_call(monkeypatch, paper_channel):
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("the mismatch dual called scipy minimize")
+    monkeypatch.setattr(exponents, "minimize", no_minimize)
+    ch, p = paper_channel
+    for r in (0.1, 0.25, 0.4):
+        res = er_mismatch_dual(ch, p, map_metric(p, ch), r)
+        assert res.value_bits > 0.0
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        ch, p, u = random_triple(rng)
+        r = float(rng.uniform(0.0, p.entropy_bits))
+        assert er_mismatch_dual(ch, p, u, r).value_bits >= 0.0
+
+
+def test_mismatch_dual_newton_iterations_on_curve(paper_channel):
+    """Work counts are deterministic: the median Newton iteration count
+    over the curve's 27 calls stays at most 12."""
+    iters = [er_mismatch_dual(*paper_channel, u, r).diagnostics["iterations"]
+             for u, r in _curve_calls(paper_channel)]
+    assert len(iters) == 27
+    assert np.median(iters) <= 12, iters
+
+
+def test_mismatch_dual_theta_unbounded_flag(paper_channel):
+    """On the noiseless channel every metric with the diagonal on top
+    rises with theta toward 1 - R: the sup is approached, not attained,
+    and the solve ends after a few steps. The bundled channel's curve
+    points attain theirs."""
+    ch = Dmc(input_size=2, output_size=2, w=np.eye(2))
+    p = InputDist(p=np.array([0.5, 0.5]))
+    for eps in (1e-7, 1e-5, 0.5):
+        u = DecodingMetric(u=np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]]),
+                           name="flat")
+        d = er_mismatch_dual(ch, p, u, 0.3).diagnostics
+        assert d["theta_unbounded"] is True, f"eps={eps}"
+        assert d["theta_at_boundary"] is False
+        assert d["iterations"] <= 3 and d["message"] != "iteration cap"
+    for u, r in _curve_calls(paper_channel):
+        d = er_mismatch_dual(*paper_channel, u, r).diagnostics
+        assert d["theta_unbounded"] is False, f"{u.name} at R={r:g}"
+
+
+def test_mismatch_dual_short_of_theta_limit_raises(monkeypatch):
+    """A solve stopped below the theta -> infinity limit of a metric whose
+    sup lies there is not reported as converged."""
+    def stopped_early(prob, rho, that):
+        return (1.0, 1.0), prob.value_at(1.0, 1.0), np.zeros(2), 0, "early"
+    monkeypatch.setattr(exponents, "_projected_newton", stopped_early)
+    ch = Dmc(input_size=2, output_size=2, w=np.eye(2))
+    p = InputDist(p=np.array([0.5, 0.5]))
+    u = DecodingMetric(u=np.array([[1.0, 0.5], [0.5, 1.0]]), name="graded")
+    with pytest.raises(NonConvergentError, match="theta -> infinity"):
+        er_mismatch_dual(ch, p, u, 0.3)
+
+
+def test_mismatch_dual_positive_just_below_capacity():
+    """Just below I(X;Y) the MAP metric's exponent is positive, of order
+    (I - R)^2, with its maximizer near rho = 0. There the objective is
+    close to rho times a function of theta alone; a step projected onto
+    the rho floor with theta_hat kept throws theta off by orders of
+    magnitude, and a search stuck there returns 0."""
+    for seed in range(60):
+        ch, p, _ = random_triple(np.random.default_rng([seed, 99]))
+        mi = mutual_information(p, ch)
+        for k in (2, 4, 6):
+            res = er_mismatch_dual(ch, p, map_metric(p, ch),
+                                   mi * (1.0 - 10.0 ** -k))
+            assert res.value_bits > 0.0, f"seed {seed}, R = I(1 - 1e-{k})"
+            assert res.diagnostics["clamped"] is False
 
 
 def test_mismatch_dual_solver_diagnostics(paper_channel):
